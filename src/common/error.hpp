@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace qcgen {
 
@@ -28,14 +29,17 @@ class InternalError : public QcgenError {
   explicit InternalError(const std::string& what) : QcgenError(what) {}
 };
 
+// The helpers take a string_view so that a passing check with a literal
+// message builds no std::string (and allocates nothing) on hot paths.
+
 /// Precondition helper: throws InvalidArgumentError when cond is false.
-inline void require(bool cond, const std::string& message) {
-  if (!cond) throw InvalidArgumentError(message);
+inline void require(bool cond, std::string_view message) {
+  if (!cond) throw InvalidArgumentError(std::string(message));
 }
 
 /// Invariant helper: throws InternalError when cond is false.
-inline void ensure(bool cond, const std::string& message) {
-  if (!cond) throw InternalError(message);
+inline void ensure(bool cond, std::string_view message) {
+  if (!cond) throw InternalError(std::string(message));
 }
 
 }  // namespace qcgen

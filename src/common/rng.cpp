@@ -13,32 +13,9 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -63,12 +40,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   // any raw 64-bit draw is then already uniform over the range.
   if (span == 0) return static_cast<std::int64_t>(next());
   return lo + static_cast<std::int64_t>(uniform_int(span));
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal() noexcept {
@@ -110,7 +81,7 @@ std::size_t Rng::discrete(std::span<const double> weights) {
 
 Rng Rng::split() noexcept {
   // Two draws feed a SplitMix chain so the child stream is decorrelated.
-  std::uint64_t s = next() ^ rotl(next(), 23);
+  std::uint64_t s = next() ^ std::rotl(next(), 23);
   return Rng(splitmix64(s));
 }
 

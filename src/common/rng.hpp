@@ -8,6 +8,7 @@
 // fast and statistically strong enough for Monte-Carlo work.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -35,18 +36,35 @@ class Rng {
 
   /// Raw 64 random bits.
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  result_type next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_int(std::uint64_t n);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]); draws
+  /// nothing when p <= 0 or p >= 1.
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
   /// Standard normal via Box-Muller (cached spare value).
   double normal() noexcept;
   /// Normal with given mean / stddev.

@@ -26,6 +26,29 @@ std::vector<DetectionEvent> detection_events(const SyndromeHistory& history,
   return events;
 }
 
+std::vector<std::size_t> Decoder::decode(
+    const std::vector<DetectionEvent>& events) {
+  std::vector<std::size_t> qubits;
+  decode_into(events, qubits);
+  return qubits;
+}
+
+void MatchingDecoder::decode_into(std::span<const DetectionEvent> events,
+                                  std::vector<std::size_t>& qubits) {
+  if (events.empty()) return;
+  for (const DetectionEvent& e : events) {
+    require(e.node < graph_.num_nodes(), "decode: event node out of range");
+  }
+  match(events, pairs_);
+  for (const auto& [i, j] : pairs_) {
+    if (j == events.size()) {
+      graph_.append_boundary_path(events[i].node, qubits);
+    } else {
+      graph_.append_path(events[i].node, events[j].node, qubits);
+    }
+  }
+}
+
 std::string_view decoder_kind_name(DecoderKind kind) {
   switch (kind) {
     case DecoderKind::kLookup: return "lookup";

@@ -7,8 +7,11 @@
 // stabilizers detect X errors and vice versa.)
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qec/matching_graph.hpp"
@@ -42,8 +45,50 @@ class Decoder {
   virtual PauliType stabilizer_type() const = 0;
   /// Data qubits to flip (with a Pauli of other(stabilizer_type())).
   /// A qubit listed an even number of times cancels out.
-  virtual std::vector<std::size_t> decode(
-      const std::vector<DetectionEvent>& events) = 0;
+  std::vector<std::size_t> decode(const std::vector<DetectionEvent>& events);
+  /// Appends what decode() returns to `qubits`. Decoders keep their
+  /// working memory between calls, so once it has grown to the largest
+  /// event set seen, a call allocates nothing.
+  virtual void decode_into(std::span<const DetectionEvent> events,
+                           std::vector<std::size_t>& qubits) = 0;
+};
+
+/// Matched detection events: (i, j) pairs event i with event j, or with
+/// the lattice boundary when j is the number of events.
+using Pairing = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// A decoder that pairs events up and corrects along the shortest
+/// spatial path of each pair: the matching graph's path between the two
+/// plaquettes, or a boundary path.
+class MatchingDecoder : public Decoder {
+ public:
+  PauliType stabilizer_type() const override { return graph_.type(); }
+  const MatchingGraph& graph() const noexcept { return graph_; }
+  /// Replaces `pairs` with the decoder's pairing of `events`; every event
+  /// appears in exactly one pair. Every event's node must be a node of
+  /// graph() (decode_into checks this).
+  virtual void match(std::span<const DetectionEvent> events,
+                     Pairing& pairs) = 0;
+  void decode_into(std::span<const DetectionEvent> events,
+                   std::vector<std::size_t>& qubits) final;
+
+ protected:
+  MatchingDecoder(const SurfaceCode& code, PauliType stabilizer_type)
+      : graph_(code, stabilizer_type) {}
+  /// Space-time distance of two events: spatial graph distance plus
+  /// temporal separation (uniform weights).
+  std::uint32_t cost(const DetectionEvent& a,
+                     const DetectionEvent& b) const noexcept {
+    const std::size_t temporal =
+        a.round > b.round ? a.round - b.round : b.round - a.round;
+    return graph_.distance_row(a.node)[b.node] +
+           static_cast<std::uint32_t>(temporal);
+  }
+
+  MatchingGraph graph_;
+
+ private:
+  Pairing pairs_;
 };
 
 /// Available decoder implementations (ablation ABL-DEC in DESIGN.md).

@@ -4,6 +4,8 @@
 // (paper Fig 4c uses exactly this resimulation trick).
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "qec/decoder.hpp"
@@ -51,5 +53,43 @@ struct DecodeOutcome {
 DecodeOutcome decode_history(const SurfaceCode& code, Decoder& z_decoder,
                              Decoder& x_decoder,
                              const SyndromeHistory& history);
+
+/// The decoding half of a Monte-Carlo trial, shared by
+/// estimate_logical_error and decode_history: decodes both species,
+/// XORs the corrections into a packed residual frame and checks it for
+/// logical flips. Every trial opens two `qec.decode` spans and adds to
+/// the `qec.detection_events` and `qec.corrections` counters. Buffers
+/// are reused, so a trial allocates nothing once they have grown to the
+/// largest event set seen.
+class TrialDecoder {
+ public:
+  TrialDecoder(const SurfaceCode& code, Decoder& z_decoder,
+               Decoder& x_decoder);
+
+  /// `frame_x` / `frame_z` hold the true error, ceil(n / 64) words each
+  /// (bit q % 64 of word q / 64);
+  /// `z_events` / `x_events` are the Z- and X-stabilizer detection events.
+  DecodeOutcome decode(std::span<const std::uint64_t> frame_x,
+                       std::span<const std::uint64_t> frame_z,
+                       std::span<const DetectionEvent> z_events,
+                       std::span<const DetectionEvent> x_events);
+
+  /// Residual error (true error xor correction) of the last decode().
+  PauliFrame residual() const;
+
+ private:
+  /// Decodes one species into `residual`; returns the qubits listed.
+  std::size_t correct(Decoder& decoder, std::span<const DetectionEvent> events,
+                      std::vector<std::uint64_t>& residual);
+
+  std::size_t num_qubits_;
+  Decoder& z_decoder_;
+  Decoder& x_decoder_;
+  std::vector<std::uint64_t> logical_x_;  ///< logical X support, packed
+  std::vector<std::uint64_t> logical_z_;  ///< logical Z support, packed
+  std::vector<std::uint64_t> residual_x_;
+  std::vector<std::uint64_t> residual_z_;
+  std::vector<std::size_t> qubits_;
+};
 
 }  // namespace qcgen::qec

@@ -65,8 +65,8 @@ LookupDecoder::LookupDecoder(const SurfaceCode& code, PauliType stabilizer_type)
   ensure(remaining == 0, "LookupDecoder: unreachable syndromes exist");
 }
 
-std::vector<std::size_t> LookupDecoder::decode(
-    const std::vector<DetectionEvent>& events) {
+void LookupDecoder::decode_into(std::span<const DetectionEvent> events,
+                                std::vector<std::size_t>& qubits) {
   // Reconstruct the final cumulative syndrome: the parity of detection
   // events per node over all rounds equals the last round's syndrome
   // (events are syndrome differences, and the final round is noiseless).
@@ -75,7 +75,7 @@ std::vector<std::size_t> LookupDecoder::decode(
     require(e.node < num_nodes_, "LookupDecoder: event node out of range");
     syn ^= 1ULL << e.node;
   }
-  return table_[syn];
+  qubits.insert(qubits.end(), table_[syn].begin(), table_[syn].end());
 }
 
 const std::vector<std::size_t>& LookupDecoder::correction_for(

@@ -20,8 +20,8 @@ class LookupDecoder final : public Decoder {
 
   std::string name() const override { return "lookup"; }
   PauliType stabilizer_type() const override { return type_; }
-  std::vector<std::size_t> decode(
-      const std::vector<DetectionEvent>& events) override;
+  void decode_into(std::span<const DetectionEvent> events,
+                   std::vector<std::size_t>& qubits) override;
 
   /// Direct table access for tests: correction for a syndrome bitmask.
   const std::vector<std::size_t>& correction_for(std::size_t syndrome) const;

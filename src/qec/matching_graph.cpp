@@ -1,6 +1,6 @@
 #include "qec/matching_graph.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <queue>
 
 #include "common/error.hpp"
@@ -10,6 +10,8 @@ namespace qcgen::qec {
 
 namespace {
 constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
+/// Unreached entry of the 32-bit all-pairs tables.
+constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
 }
 
 MatchingGraph::MatchingGraph(const SurfaceCode& code, PauliType type)
@@ -31,11 +33,26 @@ MatchingGraph::MatchingGraph(const SurfaceCode& code, PauliType type)
   }
 
   // All-pairs BFS (graphs are tiny: <= (d^2-1)/2 nodes).
-  dist_.assign(n, {});
-  parent_.assign(n, {});
-  parent_qubit_.assign(n, {});
+  dist_.assign(n * n, kUnreached);
+  parent_.assign(n * n, kUnreached);
+  parent_qubit_.assign(n * n, kUnreached);
+  std::queue<std::size_t> queue;
   for (std::size_t s = 0; s < n; ++s) {
-    bfs(s, dist_[s], parent_[s], parent_qubit_[s]);
+    std::uint32_t* dist = dist_.data() + s * n;
+    dist[s] = 0;
+    queue.push(s);
+    while (!queue.empty()) {
+      const std::size_t u = queue.front();
+      queue.pop();
+      for (const auto& [v, q] : adjacency_[u]) {
+        if (dist[v] == kUnreached) {
+          dist[v] = dist[u] + 1;
+          parent_[s * n + v] = static_cast<std::uint32_t>(u);
+          parent_qubit_[s * n + v] = static_cast<std::uint32_t>(q);
+          queue.push(v);
+        }
+      }
+    }
   }
 
   // Boundary distances: multi-source BFS from boundary-adjacent nodes.
@@ -77,34 +94,11 @@ MatchingGraph::MatchingGraph(const SurfaceCode& code, PauliType type)
                           static_cast<std::int64_t>(edges / 2));
 }
 
-void MatchingGraph::bfs(std::size_t source, std::vector<std::size_t>& dist,
-                        std::vector<std::size_t>& parent,
-                        std::vector<std::size_t>& parent_qubit) const {
-  const std::size_t n = adjacency_.size();
-  dist.assign(n, kInf);
-  parent.assign(n, kInf);
-  parent_qubit.assign(n, kInf);
-  std::queue<std::size_t> queue;
-  dist[source] = 0;
-  queue.push(source);
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop();
-    for (const auto& [v, q] : adjacency_[u]) {
-      if (dist[v] == kInf) {
-        dist[v] = dist[u] + 1;
-        parent[v] = u;
-        parent_qubit[v] = q;
-        queue.push(v);
-      }
-    }
-  }
-}
-
 std::size_t MatchingGraph::distance(std::size_t a, std::size_t b) const {
   require(a < num_nodes() && b < num_nodes(),
           "MatchingGraph::distance: node out of range");
-  return dist_[a][b];
+  const std::uint32_t d = distance_row(a)[b];
+  return d == kUnreached ? kInf : d;
 }
 
 std::size_t MatchingGraph::boundary_distance(std::size_t a) const {
@@ -117,12 +111,7 @@ std::vector<std::size_t> MatchingGraph::path_qubits(std::size_t a,
   require(a < num_nodes() && b < num_nodes(),
           "MatchingGraph::path_qubits: node out of range");
   std::vector<std::size_t> qubits;
-  std::size_t v = b;
-  while (v != a) {
-    ensure(parent_[a][v] != kInf, "MatchingGraph: disconnected nodes");
-    qubits.push_back(parent_qubit_[a][v]);
-    v = parent_[a][v];
-  }
+  append_path(a, b, qubits);
   return qubits;
 }
 
@@ -130,6 +119,24 @@ std::vector<std::size_t> MatchingGraph::boundary_path_qubits(
     std::size_t a) const {
   require(a < num_nodes(), "MatchingGraph::boundary_path_qubits: range");
   return boundary_path_[a];
+}
+
+void MatchingGraph::append_path(std::size_t a, std::size_t b,
+                                std::vector<std::size_t>& qubits) const {
+  const std::size_t row = a * num_nodes();
+  std::size_t v = b;
+  while (v != a) {
+    ensure(parent_[row + v] != kUnreached,
+           "MatchingGraph: disconnected nodes");
+    qubits.push_back(parent_qubit_[row + v]);
+    v = parent_[row + v];
+  }
+}
+
+void MatchingGraph::append_boundary_path(
+    std::size_t a, std::vector<std::size_t>& qubits) const {
+  qubits.insert(qubits.end(), boundary_path_[a].begin(),
+                boundary_path_[a].end());
 }
 
 const std::vector<std::pair<std::size_t, std::size_t>>&

@@ -8,7 +8,7 @@
 // qubits crossed along them) to turn matchings into corrections.
 
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <vector>
 
 #include "qec/surface_code.hpp"
@@ -34,6 +34,17 @@ class MatchingGraph {
   /// Data qubits crossed by a shortest path to the boundary.
   std::vector<std::size_t> boundary_path_qubits(std::size_t a) const;
 
+  /// Unchecked forms for the decoders' inner loops. distance_row(a)[b] is
+  /// distance(a, b); the append_* calls append what path_qubits /
+  /// boundary_path_qubits return, in the same order.
+  const std::uint32_t* distance_row(std::size_t a) const noexcept {
+    return dist_.data() + a * num_nodes();
+  }
+  void append_path(std::size_t a, std::size_t b,
+                   std::vector<std::size_t>& qubits) const;
+  void append_boundary_path(std::size_t a,
+                            std::vector<std::size_t>& qubits) const;
+
   /// Direct neighbours (plaquette positions) of a node.
   const std::vector<std::pair<std::size_t, std::size_t>>& neighbours(
       std::size_t a) const;  ///< (neighbour node, crossing data qubit)
@@ -41,18 +52,16 @@ class MatchingGraph {
   const std::vector<std::size_t>& boundary_qubits(std::size_t a) const;
 
  private:
-  void bfs(std::size_t source, std::vector<std::size_t>& dist,
-           std::vector<std::size_t>& parent,
-           std::vector<std::size_t>& parent_qubit) const;
-
   PauliType type_;
   // adjacency_[u] = (v, crossing data qubit)
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
   std::vector<std::vector<std::size_t>> boundary_qubits_;
-  // all-pairs shortest paths
-  std::vector<std::vector<std::size_t>> dist_;
-  std::vector<std::vector<std::size_t>> parent_;
-  std::vector<std::vector<std::size_t>> parent_qubit_;
+  // All-pairs shortest paths, row-major n x n: entry a * n + v holds the
+  // distance from a to v and the last hop (previous node, crossing qubit)
+  // of a shortest a -> v path.
+  std::vector<std::uint32_t> dist_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> parent_qubit_;
   // per node: distance to boundary + first-hop reconstruction
   std::vector<std::size_t> boundary_dist_;
   std::vector<std::vector<std::size_t>> boundary_path_;

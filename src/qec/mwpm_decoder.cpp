@@ -1,7 +1,6 @@
 #include "qec/mwpm_decoder.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -9,129 +8,105 @@ namespace qcgen::qec {
 
 MwpmDecoder::MwpmDecoder(const SurfaceCode& code, PauliType stabilizer_type,
                          std::size_t exact_threshold)
-    : type_(stabilizer_type),
-      graph_(code, stabilizer_type),
+    : MatchingDecoder(code, stabilizer_type),
       exact_threshold_(exact_threshold) {
   require(exact_threshold <= 20,
           "MwpmDecoder: exact threshold beyond 20 events is intractable");
 }
 
-std::vector<std::size_t> MwpmDecoder::decode(
-    const std::vector<DetectionEvent>& events) {
-  if (events.empty()) return {};
-  const Pairing pairs = events.size() <= exact_threshold_
-                            ? match_exact(events)
-                            : match_greedy(events);
-  return apply_pairing(events, pairs);
+void MwpmDecoder::match(std::span<const DetectionEvent> events,
+                        Pairing& pairs) {
+  pairs.clear();
+  if (events.size() <= exact_threshold_) {
+    match_exact(events, pairs);
+  } else {
+    match_greedy(events, pairs);
+  }
 }
 
-MwpmDecoder::Pairing MwpmDecoder::match_exact(
-    const std::vector<DetectionEvent>& events) const {
+void MwpmDecoder::match_exact(std::span<const DetectionEvent> events,
+                              Pairing& pairs) {
   const std::size_t n = events.size();
-  const std::size_t full = (1ULL << n) - 1;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t full = (std::size_t{1} << n) - 1;
 
-  // Pairwise and boundary costs.
-  std::vector<std::vector<double>> pair_cost(n, std::vector<double>(n, 0.0));
-  std::vector<double> bnd_cost(n, 0.0);
+  // Pairwise and boundary costs. Every cost is an integer path length, so
+  // the DP below is exact and its strict-< tie-break is well defined.
+  pair_cost_.resize(n * n);
+  boundary_cost_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    bnd_cost[i] =
-        static_cast<double>(graph_.boundary_distance(events[i].node));
+    boundary_cost_[i] = static_cast<std::uint32_t>(
+        graph_.boundary_distance(events[i].node));
     for (std::size_t j = i + 1; j < n; ++j) {
-      pair_cost[i][j] = pair_cost[j][i] =
-          static_cast<double>(spacetime_distance(graph_, events[i], events[j]));
+      pair_cost_[i * n + j] = pair_cost_[j * n + i] = cost(events[i], events[j]);
     }
   }
 
-  std::vector<double> best(full + 1, kInf);
-  // choice[mask]: (partner of lowest set bit, or n for boundary)
-  std::vector<std::size_t> choice(full + 1, n);
-  best[0] = 0.0;
+  if (best_.size() < full + 1) {
+    best_.resize(full + 1);
+    partner_.resize(full + 1);
+  }
+  std::uint32_t* best = best_.data();
+  std::uint8_t* partner = partner_.data();
+  best[0] = 0;
   for (std::size_t mask = 1; mask <= full; ++mask) {
-    const std::size_t i =
-        static_cast<std::size_t>(__builtin_ctzll(mask));
+    const std::size_t i = static_cast<std::size_t>(__builtin_ctzll(mask));
     const std::size_t without_i = mask & (mask - 1);
-    // Match i to the boundary.
-    if (best[without_i] + bnd_cost[i] < best[mask]) {
-      best[mask] = best[without_i] + bnd_cost[i];
-      choice[mask] = n;
-    }
-    // Match i to another event j in the mask.
+    // Match i to the boundary: always finite, so it seeds the minimum.
+    std::uint32_t lowest = best[without_i] + boundary_cost_[i];
+    std::uint8_t choice = static_cast<std::uint8_t>(n);
+    // Match i to another event j in the mask; ties keep the earlier choice.
+    const std::uint32_t* row = pair_cost_.data() + i * n;
     std::size_t rest = without_i;
     while (rest) {
-      const std::size_t j =
-          static_cast<std::size_t>(__builtin_ctzll(rest));
+      const std::size_t j = static_cast<std::size_t>(__builtin_ctzll(rest));
       rest &= rest - 1;
-      const std::size_t next = mask & ~(1ULL << i) & ~(1ULL << j);
-      if (best[next] + pair_cost[i][j] < best[mask]) {
-        best[mask] = best[next] + pair_cost[i][j];
-        choice[mask] = j;
+      const std::uint32_t c = best[without_i & ~(std::size_t{1} << j)] + row[j];
+      if (c < lowest) {
+        lowest = c;
+        choice = static_cast<std::uint8_t>(j);
       }
     }
+    best[mask] = lowest;
+    partner[mask] = choice;
   }
 
-  Pairing pairs;
   std::size_t mask = full;
   while (mask) {
     const std::size_t i = static_cast<std::size_t>(__builtin_ctzll(mask));
-    const std::size_t partner = choice[mask];
-    pairs.emplace_back(i, partner);
-    mask &= ~(1ULL << i);
-    if (partner < n) mask &= ~(1ULL << partner);
+    const std::size_t j = partner[mask];
+    pairs.emplace_back(i, j);
+    mask &= ~(std::size_t{1} << i);
+    if (j < n) mask &= ~(std::size_t{1} << j);
   }
-  return pairs;
 }
 
-MwpmDecoder::Pairing MwpmDecoder::match_greedy(
-    const std::vector<DetectionEvent>& events) const {
+void MwpmDecoder::match_greedy(std::span<const DetectionEvent> events,
+                               Pairing& pairs) {
   const std::size_t n = events.size();
-  struct Candidate {
-    double cost;
-    std::size_t i;
-    std::size_t j;  ///< n means boundary
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(n * (n + 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    candidates.push_back(
-        {static_cast<double>(graph_.boundary_distance(events[i].node)), i, n});
-    for (std::size_t j = i + 1; j < n; ++j) {
-      candidates.push_back(
-          {static_cast<double>(spacetime_distance(graph_, events[i], events[j])),
-           i, j});
+  const auto boundary = static_cast<std::uint32_t>(n);
+  candidates_.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    candidates_.push_back(
+        {static_cast<std::uint32_t>(
+        graph_.boundary_distance(events[i].node)), i, boundary});
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      candidates_.push_back({cost(events[i], events[j]), i, j});
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(candidates_.begin(), candidates_.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.cost != b.cost) return a.cost < b.cost;
               if (a.i != b.i) return a.i < b.i;
               return a.j < b.j;
             });
-  std::vector<bool> matched(n, false);
-  Pairing pairs;
-  for (const Candidate& c : candidates) {
-    if (matched[c.i]) continue;
-    if (c.j < n && matched[c.j]) continue;
-    matched[c.i] = true;
-    if (c.j < n) matched[c.j] = true;
+  matched_.assign(n, 0);
+  for (const Candidate& c : candidates_) {
+    if (matched_[c.i]) continue;
+    if (c.j < n && matched_[c.j]) continue;
+    matched_[c.i] = 1;
+    if (c.j < n) matched_[c.j] = 1;
     pairs.emplace_back(c.i, c.j);
   }
-  return pairs;
-}
-
-std::vector<std::size_t> MwpmDecoder::apply_pairing(
-    const std::vector<DetectionEvent>& events, const Pairing& pairs) const {
-  std::vector<std::size_t> qubits;
-  for (const auto& [i, j] : pairs) {
-    if (j >= events.size()) {
-      const auto path = graph_.boundary_path_qubits(events[i].node);
-      qubits.insert(qubits.end(), path.begin(), path.end());
-    } else {
-      const auto path = graph_.path_qubits(events[i].node, events[j].node);
-      qubits.insert(qubits.end(), path.begin(), path.end());
-    }
-  }
-  return qubits;
 }
 
 }  // namespace qcgen::qec

@@ -8,12 +8,13 @@
 // yields the pure-greedy decoder used as a baseline in ABL-DEC.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "qec/decoder.hpp"
 
 namespace qcgen::qec {
 
-class MwpmDecoder final : public Decoder {
+class MwpmDecoder final : public MatchingDecoder {
  public:
   /// Exact matching is used when the event count is <= exact_threshold.
   static constexpr std::size_t kDefaultExactThreshold = 14;
@@ -24,21 +25,28 @@ class MwpmDecoder final : public Decoder {
   std::string name() const override {
     return exact_threshold_ == 0 ? "greedy" : "mwpm";
   }
-  PauliType stabilizer_type() const override { return type_; }
-  std::vector<std::size_t> decode(
-      const std::vector<DetectionEvent>& events) override;
+  void match(std::span<const DetectionEvent> events, Pairing& pairs) override;
 
  private:
-  /// Pairing: entry (i, j) with j == events.size() meaning boundary.
-  using Pairing = std::vector<std::pair<std::size_t, std::size_t>>;
-  Pairing match_exact(const std::vector<DetectionEvent>& events) const;
-  Pairing match_greedy(const std::vector<DetectionEvent>& events) const;
-  std::vector<std::size_t> apply_pairing(
-      const std::vector<DetectionEvent>& events, const Pairing& pairs) const;
+  void match_exact(std::span<const DetectionEvent> events, Pairing& pairs);
+  void match_greedy(std::span<const DetectionEvent> events, Pairing& pairs);
 
-  PauliType type_;
-  MatchingGraph graph_;
+  struct Candidate {
+    std::uint32_t cost;
+    std::uint32_t i;
+    std::uint32_t j;  ///< events.size() means boundary
+  };
+
   std::size_t exact_threshold_;
+  // Working memory reused across calls. The DP tables hold 2^n entries
+  // for n events: best[mask] is the cheapest matching of the events in
+  // mask, partner[mask] the partner of mask's lowest event (n: boundary).
+  std::vector<std::uint32_t> pair_cost_;  ///< n x n
+  std::vector<std::uint32_t> boundary_cost_;
+  std::vector<std::uint32_t> best_;
+  std::vector<std::uint8_t> partner_;
+  std::vector<Candidate> candidates_;
+  std::vector<std::uint8_t> matched_;
 };
 
 }  // namespace qcgen::qec

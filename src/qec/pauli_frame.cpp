@@ -1,6 +1,7 @@
 #include "qec/pauli_frame.hpp"
 
 #include "common/error.hpp"
+#include "qec/history_sampler.hpp"
 
 namespace qcgen::qec {
 
@@ -50,35 +51,9 @@ Syndrome measure_syndrome(const SurfaceCode& code, const PauliFrame& frame) {
 SyndromeHistory sample_history(const SurfaceCode& code,
                                const PhenomenologicalNoise& noise,
                                std::size_t num_rounds, Rng& rng) {
-  require(num_rounds >= 1, "sample_history: need at least one round");
-  SyndromeHistory history(code.num_data_qubits());
-  history.rounds.reserve(num_rounds + 1);
-  for (std::size_t round = 0; round < num_rounds; ++round) {
-    // Depolarising data noise: X, Y, Z each with probability p/3.
-    for (std::size_t q = 0; q < code.num_data_qubits(); ++q) {
-      if (!rng.bernoulli(noise.data_error)) continue;
-      switch (rng.uniform_int(static_cast<std::uint64_t>(3))) {
-        case 0: history.frame.x[q] ^= 1; break;
-        case 1:
-          history.frame.x[q] ^= 1;
-          history.frame.z[q] ^= 1;
-          break;
-        default: history.frame.z[q] ^= 1; break;
-      }
-    }
-    Syndrome syn = measure_syndrome(code, history.frame);
-    // Faulty syndrome readout.
-    for (auto& bit : syn.x) {
-      if (rng.bernoulli(noise.meas_error)) bit ^= 1;
-    }
-    for (auto& bit : syn.z) {
-      if (rng.bernoulli(noise.meas_error)) bit ^= 1;
-    }
-    history.rounds.push_back(std::move(syn));
-  }
-  // Final perfect round.
-  history.rounds.push_back(measure_syndrome(code, history.frame));
-  return history;
+  HistorySampler sampler(code, num_rounds);
+  sampler.sample(noise, rng);
+  return sampler.history();
 }
 
 bool logical_flip(const SurfaceCode& code, const PauliFrame& residual,

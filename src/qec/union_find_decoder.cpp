@@ -2,185 +2,193 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-
-#include "common/error.hpp"
+#include <numeric>
 
 namespace qcgen::qec {
 
-UnionFindDecoder::Dsu::Dsu(std::size_t n)
-    : parent(n), rank(n, 0), parity(n, 0), touches_bnd(n, 0) {
-  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-}
-
-std::size_t UnionFindDecoder::Dsu::find(std::size_t v) {
-  while (parent[v] != v) {
-    parent[v] = parent[parent[v]];
-    v = parent[v];
-  }
-  return v;
-}
-
-std::size_t UnionFindDecoder::Dsu::unite(std::size_t a, std::size_t b) {
-  a = find(a);
-  b = find(b);
-  if (a == b) return a;
-  if (rank[a] < rank[b]) std::swap(a, b);
-  parent[b] = a;
-  if (rank[a] == rank[b]) ++rank[a];
-  parity[a] += parity[b];
-  touches_bnd[a] |= touches_bnd[b];
-  return a;
+namespace {
+constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 }
 
 UnionFindDecoder::UnionFindDecoder(const SurfaceCode& code,
                                    PauliType stabilizer_type)
-    : type_(stabilizer_type), graph_(code, stabilizer_type) {}
+    : MatchingDecoder(code, stabilizer_type) {
+  // Parallel edges between two plaquettes share one id, so they grow as
+  // one edge that gains a half-edge per listing.
+  const std::size_t n = graph_.num_nodes();
+  std::vector<std::uint32_t> edge_of(n * n, kNoEdge);
+  neighbour_begin_.push_back(0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const auto& [v, q] : graph_.neighbours(u)) {
+      (void)q;
+      std::uint32_t& edge = edge_of[std::min(u, v) * n + std::max(u, v)];
+      if (edge == kNoEdge) edge = static_cast<std::uint32_t>(num_edges_++);
+      neighbour_node_.push_back(static_cast<std::uint32_t>(v));
+      neighbour_edge_.push_back(edge);
+    }
+    neighbour_begin_.push_back(
+        static_cast<std::uint32_t>(neighbour_node_.size()));
+    has_boundary_.push_back(graph_.boundary_qubits(u).empty() ? 0 : 1);
+  }
+}
 
-std::vector<std::size_t> UnionFindDecoder::decode(
-    const std::vector<DetectionEvent>& events) {
-  if (events.empty()) return {};
+std::uint32_t UnionFindDecoder::find(std::uint32_t v) {
+  while (parent_[v] != v) {
+    parent_[v] = parent_[parent_[v]];
+    v = parent_[v];
+  }
+  return v;
+}
 
-  // Space-time node ids: (node, round) -> node * num_rounds + round, with
-  // rounds spanning the observed event range (grown as needed: we bound
-  // rounds by the max event round + growth radius, which suffices because
-  // growth beyond the last round has no further events to absorb and the
-  // boundary is spatial).
+void UnionFindDecoder::unite(std::uint32_t a, std::uint32_t b) {
+  a = find(a);
+  b = find(b);
+  if (a == b) return;
+  if (rank_[a] < rank_[b]) std::swap(a, b);
+  parent_[b] = a;
+  if (rank_[a] == rank_[b]) ++rank_[a];
+  parity_[a] += parity_[b];
+  touches_boundary_[a] |= touches_boundary_[b];
+  std::swap(next_member_[a], next_member_[b]);
+}
+
+void UnionFindDecoder::match(std::span<const DetectionEvent> events,
+                             Pairing& pairs) {
+  pairs.clear();
+  if (events.empty()) return;
+
+  // Space-time node ids: (node, round) -> node * rounds + round, with
+  // rounds spanning the observed event range. Growth beyond the last
+  // event round has nothing further to absorb and the boundary is
+  // spatial, so the range suffices.
   std::size_t max_round = 0;
-  for (const DetectionEvent& e : events) max_round = std::max(max_round, e.round);
-  const std::size_t num_rounds = max_round + 1;
+  for (const DetectionEvent& e : events) {
+    max_round = std::max(max_round, e.round);
+  }
+  const std::size_t rounds = max_round + 1;
   const std::size_t spatial = graph_.num_nodes();
-  const std::size_t total = spatial * num_rounds;
-  const auto id_of = [&](std::size_t node, std::size_t round) {
-    return node * num_rounds + round;
+  const std::size_t total = spatial * rounds;
+  const auto id_of = [&](const DetectionEvent& e) {
+    return static_cast<std::uint32_t>(e.node * rounds + e.round);
   };
 
-  Dsu dsu(total);
-  std::vector<std::uint8_t> is_event(total, 0);
+  parent_.resize(total);
+  std::iota(parent_.begin(), parent_.end(), 0u);
+  next_member_.resize(total);
+  std::iota(next_member_.begin(), next_member_.end(), 0u);
+  rank_.assign(total, 0);
+  parity_.assign(total, 0);
+  touches_boundary_.assign(total, 0);
+  spatial_growth_.assign(rounds * num_edges_, 0);
+  temporal_growth_.assign(total, 0);
+  boundary_growth_.assign(total, 0);
+  listed_.assign(total, 0);
+
+  for (const DetectionEvent& e : events) ++parity_[id_of(e)];
+  std::uint32_t stamp = 1;
+  odd_roots_.clear();
   for (const DetectionEvent& e : events) {
-    const std::size_t id = id_of(e.node, e.round);
-    is_event[id] = 1;
-    ++dsu.parity[id];
+    const std::uint32_t id = id_of(e);
+    if (is_odd(id) && listed_[id] != stamp) {
+      listed_[id] = stamp;
+      odd_roots_.push_back(id);
+    }
   }
 
-  // Edge growth state: each undirected edge key -> half-edge count (0..2).
-  // Edge kinds: spatial (same round), temporal (same node adjacent round),
-  // boundary (node with direct boundary qubits).
-  std::map<std::pair<std::size_t, std::size_t>, int> edge_growth;
-  std::map<std::size_t, int> boundary_growth;
-  const auto edge_key = [](std::size_t a, std::size_t b) {
-    return std::make_pair(std::min(a, b), std::max(a, b));
+  // Each step, every node of an odd cluster grows all its incident edges
+  // (spatial, temporal, boundary) by a half-edge, visiting nodes in id
+  // order; edges that become full merge their endpoints' clusters.
+  const auto grow = [this](std::uint8_t& growth, std::uint32_t id,
+                           std::uint32_t other) {
+    if (growth < 2 && ++growth == 2) to_union_.emplace_back(id, other);
   };
+  const std::size_t max_steps = 4 * (spatial + rounds) + 8;
+  for (std::size_t step = 0; step < max_steps && !odd_roots_.empty();
+       ++step) {
+    frontier_.clear();
+    for (const std::uint32_t root : odd_roots_) {
+      std::uint32_t v = root;
+      do {
+        frontier_.push_back(v);
+        v = next_member_[v];
+      } while (v != root);
+    }
+    std::sort(frontier_.begin(), frontier_.end());
 
-  // Active set: nodes currently in any odd, non-boundary cluster.
-  // Growth loop: at each step every odd cluster grows all incident edges
-  // by one half-edge; full edges union their endpoints.
-  const auto cluster_is_odd = [&](std::size_t id) {
-    const std::size_t root = dsu.find(id);
-    return (dsu.parity[root] % 2 == 1) && !dsu.touches_bnd[root];
-  };
-
-  // The growth frontier is conservative: iterate over all space-time
-  // nodes that belong to odd clusters. Graphs are small (<= a few
-  // thousand nodes), so this direct implementation is fine.
-  const std::size_t kMaxSteps = 4 * (spatial + num_rounds) + 8;
-  for (std::size_t step = 0; step < kMaxSteps; ++step) {
-    bool any_odd = false;
-    std::vector<std::pair<std::size_t, std::size_t>> to_union;
-    std::vector<std::size_t> to_boundary;
-    for (std::size_t node = 0; node < spatial; ++node) {
-      for (std::size_t round = 0; round < num_rounds; ++round) {
-        const std::size_t id = id_of(node, round);
-        if (!cluster_is_odd(id)) continue;
-        // Only grow from nodes already absorbed into a cluster that has
-        // at least one event (singleton non-event nodes are parity-0
-        // clusters and never odd, so this is implied).
-        any_odd = true;
-        // Spatial neighbours.
-        for (const auto& [nbr, q] : graph_.neighbours(node)) {
-          (void)q;
-          const std::size_t nid = id_of(nbr, round);
-          auto key = edge_key(id, nid);
-          int& g = edge_growth[key];
-          if (g < 2) {
-            ++g;
-            if (g == 2) to_union.emplace_back(id, nid);
-          }
-        }
-        // Temporal neighbours.
-        for (int dr : {-1, +1}) {
-          const long nr = static_cast<long>(round) + dr;
-          if (nr < 0 || nr >= static_cast<long>(num_rounds)) continue;
-          const std::size_t nid = id_of(node, static_cast<std::size_t>(nr));
-          auto key = edge_key(id, nid);
-          int& g = edge_growth[key];
-          if (g < 2) {
-            ++g;
-            if (g == 2) to_union.emplace_back(id, nid);
-          }
-        }
-        // Boundary edge.
-        if (!graph_.boundary_qubits(node).empty()) {
-          int& g = boundary_growth[id];
-          if (g < 2) {
-            ++g;
-            if (g == 2) to_boundary.push_back(id);
-          }
-        }
+    to_union_.clear();
+    to_boundary_.clear();
+    for (const std::uint32_t id : frontier_) {
+      const std::size_t node = id / rounds;
+      const std::size_t round = id % rounds;
+      for (std::uint32_t k = neighbour_begin_[node];
+           k < neighbour_begin_[node + 1]; ++k) {
+        grow(spatial_growth_[round * num_edges_ + neighbour_edge_[k]], id,
+             static_cast<std::uint32_t>(neighbour_node_[k] * rounds + round));
+      }
+      if (round > 0) grow(temporal_growth_[id - 1], id, id - 1);
+      if (round + 1 < rounds) grow(temporal_growth_[id], id, id + 1);
+      if (has_boundary_[node] && boundary_growth_[id] < 2 &&
+          ++boundary_growth_[id] == 2) {
+        to_boundary_.push_back(id);
       }
     }
-    if (!any_odd) break;
-    for (const auto& [a, b] : to_union) dsu.unite(a, b);
-    for (std::size_t id : to_boundary) {
-      dsu.touches_bnd[dsu.find(id)] = 1;
+    for (const auto& [a, b] : to_union_) unite(a, b);
+    for (const std::uint32_t id : to_boundary_) {
+      touches_boundary_[find(id)] = 1;
     }
+
+    // Merging never makes a cluster odd unless it absorbed an odd one, so
+    // the new odd roots are among the old ones' roots.
+    ++stamp;
+    std::size_t kept = 0;
+    for (const std::uint32_t old_root : odd_roots_) {
+      const std::uint32_t root = find(old_root);
+      if (is_odd(root) && listed_[root] != stamp) {
+        listed_[root] = stamp;
+        odd_roots_[kept++] = root;
+      }
+    }
+    odd_roots_.resize(kept);
   }
 
-  // Group events by final cluster root.
-  std::map<std::size_t, std::vector<std::size_t>> clusters;  // root -> event idx
+  // Clusters in root order, each cluster's events in event order.
+  by_cluster_.clear();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    clusters[dsu.find(id_of(events[i].node, events[i].round))].push_back(i);
+    by_cluster_.emplace_back(find(id_of(events[i])),
+                             static_cast<std::uint32_t>(i));
   }
+  std::sort(by_cluster_.begin(), by_cluster_.end());
 
-  // Intra-cluster greedy pairing; odd clusters route one event to the
-  // boundary (guaranteed reachable: growth only stops when even or
-  // boundary-touching).
-  std::vector<std::size_t> qubits;
-  for (auto& [root, members] : clusters) {
-    (void)root;
-    std::vector<std::size_t> open = members;
-    while (open.size() >= 2) {
-      // Find globally cheapest pair among open members.
+  // Intra-cluster greedy pairing: repeatedly pair the cluster's cheapest
+  // open pair; an odd leftover goes to the boundary (reachable, since
+  // growth stops only when a cluster is even or touches the boundary).
+  for (std::size_t begin = 0; begin < by_cluster_.size();) {
+    std::size_t end = begin;
+    open_.clear();
+    while (end < by_cluster_.size() &&
+           by_cluster_[end].first == by_cluster_[begin].first) {
+      open_.push_back(by_cluster_[end++].second);
+    }
+    begin = end;
+    while (open_.size() >= 2) {
       std::size_t best_a = 0, best_b = 1;
-      std::size_t best_cost = std::numeric_limits<std::size_t>::max();
-      for (std::size_t a = 0; a < open.size(); ++a) {
-        for (std::size_t b = a + 1; b < open.size(); ++b) {
-          const std::size_t cost =
-              spacetime_distance(graph_, events[open[a]], events[open[b]]);
-          if (cost < best_cost) {
-            best_cost = cost;
+      std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
+      for (std::size_t a = 0; a < open_.size(); ++a) {
+        for (std::size_t b = a + 1; b < open_.size(); ++b) {
+          const std::uint32_t c = cost(events[open_[a]], events[open_[b]]);
+          if (c < best_cost) {
+            best_cost = c;
             best_a = a;
             best_b = b;
           }
         }
       }
-      // If the boundary is strictly cheaper for the most expensive of the
-      // pair and the cluster allows it, prefer pairing anyway — peeling
-      // inside a neutral cluster pairs internally; boundary is reserved
-      // for the odd leftover.
-      const auto path = graph_.path_qubits(events[open[best_a]].node,
-                                           events[open[best_b]].node);
-      qubits.insert(qubits.end(), path.begin(), path.end());
-      // Remove b first (larger index).
-      open.erase(open.begin() + static_cast<std::ptrdiff_t>(best_b));
-      open.erase(open.begin() + static_cast<std::ptrdiff_t>(best_a));
+      pairs.emplace_back(open_[best_a], open_[best_b]);
+      open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(best_b));
+      open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(best_a));
     }
-    if (open.size() == 1) {
-      const auto path = graph_.boundary_path_qubits(events[open[0]].node);
-      qubits.insert(qubits.end(), path.begin(), path.end());
-    }
+    if (open_.size() == 1) pairs.emplace_back(open_[0], events.size());
   }
-  return qubits;
 }
 
 }  // namespace qcgen::qec

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "qec/decoder.hpp"
 #include "qec/lookup_decoder.hpp"
 #include "qec/mwpm_decoder.hpp"
 #include "qec/pauli_frame.hpp"
 #include "qec/union_find_decoder.hpp"
+#include "qec_reference.hpp"
 
 namespace qcgen::qec {
 namespace {
@@ -197,6 +202,17 @@ TEST(MwpmDecoder, CorrectsWeightTwoErrorsAtDistance5) {
   }
 }
 
+TEST(MatchingDecoders, RejectOutOfRangeEventNodes) {
+  const SurfaceCode code = SurfaceCode::rotated(3);
+  const std::vector<DetectionEvent> events{{0, 0}, {99, 1}};
+  for (DecoderKind kind :
+       {DecoderKind::kGreedy, DecoderKind::kMwpm, DecoderKind::kUnionFind}) {
+    auto decoder = make_decoder(kind, code, PauliType::kZ);
+    EXPECT_THROW(decoder->decode(events), InvalidArgumentError)
+        << decoder_kind_name(kind);
+  }
+}
+
 TEST(LookupDecoder, RequiresDistanceThree) {
   EXPECT_THROW(LookupDecoder(SurfaceCode::rotated(5), PauliType::kZ),
                InvalidArgumentError);
@@ -248,6 +264,180 @@ TEST(SpacetimeDistance, CombinesSpaceAndTime) {
   EXPECT_EQ(spacetime_distance(graph, a, b), 3u);
   const DetectionEvent c{1, 1};
   EXPECT_EQ(spacetime_distance(graph, a, c), graph.distance(0, 1) + 1);
+}
+
+// --- Fuzzed decoder invariants -------------------------------------------
+
+/// Total space-time weight of a pairing; fails the test unless every
+/// event is matched exactly once.
+std::size_t pairing_weight(const MatchingGraph& graph,
+                           const std::vector<DetectionEvent>& events,
+                           const Pairing& pairs) {
+  std::vector<int> seen(events.size(), 0);
+  std::size_t weight = 0;
+  for (const auto& [i, j] : pairs) {
+    EXPECT_LT(i, events.size());
+    ++seen[i];
+    if (j == events.size()) {
+      weight += graph.boundary_distance(events[i].node);
+    } else {
+      EXPECT_LT(j, events.size());
+      ++seen[j];
+      weight += spacetime_distance(graph, events[i], events[j]);
+    }
+  }
+  for (int count : seen) EXPECT_EQ(count, 1);
+  return weight;
+}
+
+/// Minimum-weight perfect matching with boundary, by exhaustive search:
+/// the lowest open event goes to the boundary or to any other open event.
+std::size_t brute_force_weight(const MatchingGraph& graph,
+                               const std::vector<DetectionEvent>& events,
+                               std::uint32_t open) {
+  if (open == 0) return 0;
+  const int i = __builtin_ctz(open);
+  const std::uint32_t rest = open & (open - 1);
+  std::size_t best = graph.boundary_distance(events[i].node) +
+                     brute_force_weight(graph, events, rest);
+  for (std::uint32_t others = rest; others != 0; others &= others - 1) {
+    const int j = __builtin_ctz(others);
+    best = std::min(best, spacetime_distance(graph, events[i], events[j]) +
+                              brute_force_weight(graph, events,
+                                                 rest & ~(1u << j)));
+  }
+  return best;
+}
+
+/// Sampled histories over d in {3, 5, 7} and noise up to 0.08.
+struct FuzzHistory {
+  int distance;
+  SyndromeHistory history;
+};
+std::vector<FuzzHistory> fuzz_histories(std::uint64_t seed, int per_distance) {
+  Rng fuzz(seed);
+  std::vector<FuzzHistory> out;
+  for (int d : {3, 5, 7}) {
+    const SurfaceCode code = SurfaceCode::rotated(d);
+    for (int c = 0; c < per_distance; ++c) {
+      const PhenomenologicalNoise noise{fuzz.uniform(0.0, 0.08),
+                                        fuzz.uniform(0.0, 0.08)};
+      const std::size_t rounds = 1 + fuzz.uniform_int(std::uint64_t{7});
+      out.push_back({d, sample_history(code, noise, rounds, fuzz)});
+    }
+  }
+  return out;
+}
+
+TEST(DecoderInvariants, CorrectionClearsTheFinalSyndrome) {
+  // Every event is an endpoint of exactly one correction path (or, for
+  // lookup, the table entry reproduces the cumulative syndrome), so the
+  // residual error must commute with every stabilizer.
+  for (const FuzzHistory& fuzz : fuzz_histories(31, 60)) {
+    const SurfaceCode code = SurfaceCode::rotated(fuzz.distance);
+    for (DecoderKind kind : {DecoderKind::kLookup, DecoderKind::kGreedy,
+                             DecoderKind::kMwpm, DecoderKind::kUnionFind}) {
+      if (kind == DecoderKind::kLookup && fuzz.distance != 3) continue;
+      PauliFrame residual = fuzz.history.frame;
+      for (PauliType type : {PauliType::kZ, PauliType::kX}) {
+        auto decoder = make_decoder(kind, code, type);
+        const auto fix =
+            decoder->decode(detection_events(fuzz.history, type));
+        residual.apply(correction_frame(code, type, fix));
+      }
+      const Syndrome post = measure_syndrome(code, residual);
+      for (auto b : post.x) ASSERT_EQ(b, 0) << decoder_kind_name(kind);
+      for (auto b : post.z) ASSERT_EQ(b, 0) << decoder_kind_name(kind);
+    }
+  }
+}
+
+TEST(DecoderInvariants, ExactMatchingIsNoHeavierThanGreedyOrUnionFind) {
+  std::size_t checked = 0;
+  for (const FuzzHistory& fuzz : fuzz_histories(32, 80)) {
+    const SurfaceCode code = SurfaceCode::rotated(fuzz.distance);
+    for (PauliType type : {PauliType::kZ, PauliType::kX}) {
+      const auto events = detection_events(fuzz.history, type);
+      // Beyond the threshold "mwpm" is greedy matching, not exact.
+      if (events.size() > MwpmDecoder::kDefaultExactThreshold) continue;
+      MwpmDecoder exact(code, type);
+      MwpmDecoder greedy(code, type, /*exact_threshold=*/0);
+      UnionFindDecoder union_find(code, type);
+      Pairing pairs;
+      exact.match(events, pairs);
+      const std::size_t exact_weight =
+          pairing_weight(exact.graph(), events, pairs);
+      greedy.match(events, pairs);
+      EXPECT_LE(exact_weight, pairing_weight(exact.graph(), events, pairs));
+      union_find.match(events, pairs);
+      EXPECT_LE(exact_weight, pairing_weight(exact.graph(), events, pairs));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 300u);
+}
+
+TEST(DecoderInvariants, ExactMatchingEqualsBruteForce) {
+  Rng fuzz(33);
+  for (int d : {3, 5, 7}) {
+    const SurfaceCode code = SurfaceCode::rotated(d);
+    for (PauliType type : {PauliType::kZ, PauliType::kX}) {
+      MwpmDecoder exact(code, type);
+      const std::size_t nodes = code.num_stabilizers(type);
+      for (int c = 0; c < 40; ++c) {
+        // Up to 10 distinct space-time events over d + 1 rounds.
+        const std::size_t want = 1 + fuzz.uniform_int(std::uint64_t{10});
+        std::vector<DetectionEvent> events;
+        while (events.size() < want) {
+          const DetectionEvent e{
+              fuzz.uniform_int(static_cast<std::uint64_t>(nodes)),
+              fuzz.uniform_int(static_cast<std::uint64_t>(d + 1))};
+          if (std::find(events.begin(), events.end(), e) == events.end()) {
+            events.push_back(e);
+          }
+        }
+        std::sort(events.begin(), events.end(),
+                  [](const DetectionEvent& a, const DetectionEvent& b) {
+                    return a.round != b.round ? a.round < b.round
+                                              : a.node < b.node;
+                  });
+        Pairing pairs;
+        exact.match(events, pairs);
+        const auto all = static_cast<std::uint32_t>((1u << events.size()) - 1);
+        EXPECT_EQ(pairing_weight(exact.graph(), events, pairs),
+                  brute_force_weight(exact.graph(), events, all))
+            << "d=" << d << " events=" << events.size();
+      }
+    }
+  }
+}
+
+TEST(DecoderInvariants, DecodersMatchReferenceOnArbitraryEventSets) {
+  // Beyond sampled histories: random event sets, including more events
+  // than the exact threshold and repeated (node, round) pairs.
+  Rng fuzz(34);
+  for (int d : {3, 5, 7}) {
+    const SurfaceCode code = SurfaceCode::rotated(d);
+    for (DecoderKind kind : {DecoderKind::kLookup, DecoderKind::kGreedy,
+                             DecoderKind::kMwpm, DecoderKind::kUnionFind}) {
+      if (kind == DecoderKind::kLookup && d != 3) continue;
+      for (PauliType type : {PauliType::kZ, PauliType::kX}) {
+        auto decoder = make_decoder(kind, code, type);
+        const std::size_t nodes = code.num_stabilizers(type);
+        for (int c = 0; c < 25; ++c) {
+          std::vector<DetectionEvent> events(fuzz.uniform_int(std::uint64_t{18}));
+          for (DetectionEvent& e : events) {
+            e = {fuzz.uniform_int(static_cast<std::uint64_t>(nodes)),
+                 fuzz.uniform_int(static_cast<std::uint64_t>(d + 2))};
+          }
+          EXPECT_EQ(decoder->decode(events),
+                    reference::decode(kind, code, type, events))
+              << decoder_kind_name(kind) << " d=" << d
+              << " events=" << events.size();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
