@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <functional>
+#include <limits>
 
 #include "common/cache/hash.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
+#include "llm/tokenizer.hpp"
 
 namespace qcgen::llm {
 
@@ -63,19 +65,49 @@ std::vector<Chunk> chunk_documents(const std::vector<Document>& docs,
   return chunks;
 }
 
+namespace {
+
+// BM25 term-frequency saturation and length normalisation.
+constexpr double kK1 = 1.5;
+constexpr double kB = 0.75;
+
+}  // namespace
+
 VectorStore::VectorStore(std::vector<Chunk> chunks)
     : chunks_(std::move(chunks)) {
   require(!chunks_.empty(), "VectorStore: empty chunk set");
-  chunk_tokens_.reserve(chunks_.size());
-  chunk_len_.reserve(chunks_.size());
+  require(chunks_.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "VectorStore: too many chunks");
+  length_norm_.reserve(chunks_.size());
   double total_len = 0.0;
   cache::KeyHasher version;
   version.mix(static_cast<std::uint64_t>(chunks_.size()));
-  for (const Chunk& c : chunks_) {
-    vocabulary_.add_document(c.text);
-    chunk_tokens_.push_back(tokenize(c.text));
-    chunk_len_.push_back(static_cast<double>(chunk_tokens_.back().size()));
-    total_len += chunk_len_.back();
+  // One tokenize pass per chunk: map each token to its term, sort the
+  // chunk's terms so repeats sit together, and post one (chunk, tf) per
+  // run. Chunks are visited in order, so every postings list is sorted
+  // by chunk; the grouping order of the terms themselves is irrelevant.
+  std::vector<Term*> chunk_terms;
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    const Chunk& c = chunks_[i];
+    chunk_terms.clear();
+    for (std::string& token : tokenize(c.text)) {
+      chunk_terms.push_back(&terms_[std::move(token)]);
+    }
+    std::sort(chunk_terms.begin(), chunk_terms.end(), std::less<>());
+    for (std::size_t run = 0; run < chunk_terms.size();) {
+      std::size_t next = run + 1;
+      while (next < chunk_terms.size() &&
+             chunk_terms[next] == chunk_terms[run]) {
+        ++next;
+      }
+      chunk_terms[run]->postings.push_back(
+          Posting{static_cast<std::uint32_t>(i),
+                  static_cast<std::uint32_t>(next - run)});
+      run = next;
+    }
+    // Holds the chunk length until the average is known.
+    length_norm_.push_back(static_cast<double>(chunk_terms.size()));
+    total_len += length_norm_.back();
     version.mix(c.doc_id).mix(c.text);
     version.mix(static_cast<std::uint64_t>(c.freshness));
     version.mix(c.algorithm.has_value());
@@ -83,46 +115,49 @@ VectorStore::VectorStore(std::vector<Chunk> chunks)
       version.mix(static_cast<std::uint64_t>(*c.algorithm));
     }
   }
-  avg_len_ = total_len / static_cast<double>(chunks_.size());
-  content_version_ = version.digest();
-}
-
-double VectorStore::score(const std::string& query_token,
-                          std::size_t chunk_idx) const {
-  constexpr double k1 = 1.5;
-  constexpr double b = 0.75;
-  std::size_t tf = 0;
-  for (const std::string& t : chunk_tokens_[chunk_idx]) {
-    if (t == query_token) ++tf;
+  const double avg_len = total_len / static_cast<double>(chunks_.size());
+  for (double& norm : length_norm_) {
+    norm = kK1 * (1.0 - kB + kB * norm / avg_len);
   }
-  if (tf == 0) return 0.0;
-  const double idf = vocabulary_.idf(query_token);
-  const double norm =
-      k1 * (1.0 - b + b * chunk_len_[chunk_idx] / avg_len_);
-  return idf * (static_cast<double>(tf) * (k1 + 1.0)) /
-         (static_cast<double>(tf) + norm);
+  const double n = static_cast<double>(chunks_.size());
+  for (auto& [token, term] : terms_) {
+    const double df = static_cast<double>(term.postings.size());
+    term.idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);  // BM25+ smoothing
+  }
+  content_version_ = version.digest();
 }
 
 std::vector<ScoredIndex> VectorStore::retrieve_uncached(
     const std::string& query, std::size_t k) const {
-  const auto query_tokens = tokenize(query);
+  // Each chunk's score sums its query-term contributions in query order,
+  // repeated query tokens included; a chunk without a term adds nothing.
+  std::vector<double> scores(chunks_.size(), 0.0);
+  for (const std::string& token : tokenize(query)) {
+    const auto it = terms_.find(token);
+    if (it == terms_.end()) continue;
+    const double idf = it->second.idf;
+    for (const Posting& p : it->second.postings) {
+      const double tf = static_cast<double>(p.tf);
+      scores[p.chunk] +=
+          idf * (tf * (kK1 + 1.0)) / (tf + length_norm_[p.chunk]);
+    }
+  }
   std::vector<ScoredIndex> hits;
-  hits.reserve(chunks_.size());
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    double s = 0.0;
-    for (const std::string& qt : query_tokens) s += score(qt, i);
-    if (s > 0.0) hits.push_back(ScoredIndex{i, s});
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i] > 0.0) hits.push_back(ScoredIndex{i, scores[i]});
   }
   // Equal scores fall back to chunk index: a total, stable order. The
   // previous doc_id tie-break left same-document ties in unspecified
   // order (std::sort is not stable), so retrieval output could depend on
   // the sort implementation — fatal once these results are cache values.
-  std::sort(hits.begin(), hits.end(),
-            [](const ScoredIndex& a, const ScoredIndex& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.index < b.index;
-            });
-  if (hits.size() > k) hits.resize(k);
+  const std::size_t top = std::min(k, hits.size());
+  std::partial_sort(hits.begin(),
+                    hits.begin() + static_cast<std::ptrdiff_t>(top), hits.end(),
+                    [](const ScoredIndex& a, const ScoredIndex& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.index < b.index;
+                    });
+  hits.resize(top);
   return hits;
 }
 

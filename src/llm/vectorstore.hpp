@@ -7,13 +7,14 @@
 // splitter that respects sentence boundaries — the ABL-RAG ablation
 // compares them.
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cache/cache.hpp"
 #include "llm/corpus.hpp"
-#include "llm/tokenizer.hpp"
 
 namespace qcgen::llm {
 
@@ -53,7 +54,9 @@ struct ScoredIndex {
 /// hash(corpus version, query, k); see VectorStore::attach_cache.
 using RetrievalCache = cache::Cache<std::vector<ScoredIndex>>;
 
-/// BM25 index over chunks.
+/// BM25 index over chunks: an inverted index from each term to its idf
+/// and postings, so a query touches only the chunks that contain one of
+/// its terms.
 class VectorStore {
  public:
   explicit VectorStore(std::vector<Chunk> chunks);
@@ -82,15 +85,23 @@ class VectorStore {
                                   std::size_t k) const;
 
  private:
-  double score(const std::string& query_token, std::size_t chunk_idx) const;
+  /// A chunk containing a term, and how often it occurs there.
+  struct Posting {
+    std::uint32_t chunk = 0;
+    std::uint32_t tf = 0;
+  };
+  /// A term's smoothed idf and its postings in chunk order.
+  struct Term {
+    double idf = 0.0;
+    std::vector<Posting> postings;
+  };
+
   std::vector<ScoredIndex> retrieve_uncached(const std::string& query,
                                              std::size_t k) const;
 
   std::vector<Chunk> chunks_;
-  Vocabulary vocabulary_;
-  std::vector<std::vector<std::string>> chunk_tokens_;
-  std::vector<double> chunk_len_;
-  double avg_len_ = 0.0;
+  std::unordered_map<std::string, Term> terms_;
+  std::vector<double> length_norm_;  ///< k1·(1−b+b·len/avg) per chunk
   std::uint64_t content_version_ = 0;
   std::shared_ptr<RetrievalCache> cache_;
 };
