@@ -6,9 +6,10 @@
 # suites + bench_serving thread-determinism), request-lifecycle
 # determinism (lifecycle suites + a chaos-armed bench_serving run whose
 # schema-7 deadline/cancellation/breaker sections must be bit-identical
-# across thread counts), clang-tidy, then the heavy stages — a
-# fail-points-off build (the fault-injection macros must compile away
-# cleanly) and two sanitizer builds: ASan+UBSan over the language
+# across thread counts), golden-output compares (the --threads 1
+# reports against bench/golden, plus trace-on vs trace-off), clang-tidy,
+# then the heavy stages — a fail-points-off build (the fault-injection
+# macros must compile away cleanly) and two sanitizer builds: ASan+UBSan over the language
 # front-end tests (the part that chews model-corrupted input all day
 # and so is the most UB-prone) plus the fail-point/harness/serve/
 # lifecycle suites, and TSan over the thread-pool / parallel evaluation
@@ -16,7 +17,7 @@
 # code, now including the async request engine and its breakers).
 #
 # Tool preflight: the stages assume ccache (build caching) and
-# clang-tidy (stage 8). A missing tool fails fast with an install hint
+# clang-tidy (stage 9). A missing tool fails fast with an install hint
 # instead of silently degrading CI coverage; pass --allow-missing-tools
 # to downgrade that to a recorded skip (developer machines). Every
 # skipped stage is listed in a summary at the end.
@@ -97,15 +98,15 @@ else
   SKIPPED+=("ccache: not installed; builds run uncached")
 fi
 
-echo "==> [1/11] strict build (warnings as errors)"
+echo "==> [1/12] strict build (warnings as errors)"
 cmake -B build-check -S . -DQCGEN_WARNINGS_AS_ERRORS=ON \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "${LAUNCHER_ARGS[@]}" >/dev/null
 cmake --build build-check -j "$JOBS"
 
-echo "==> [2/11] full test suite"
+echo "==> [2/12] full test suite"
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
-echo "==> [3/11] chaos determinism (bench_chaos --quick, threads 1 vs 8)"
+echo "==> [3/12] chaos determinism (bench_chaos --quick, threads 1 vs 8)"
 # The fault-injection sweep must be bit-identical at any thread count
 # for a fixed (seed, samples, scenario) — including the schema-3
 # trial_failures/degradations sections, which --compare keeps.
@@ -118,7 +119,7 @@ scripts/validate_bench_json.py \
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_chaos_t1.json build-check/BENCH_chaos_t8.json
 
-echo "==> [4/11] translation validation (verify suites + bench_equivalence)"
+echo "==> [4/12] translation validation (verify suites + bench_equivalence)"
 # Every equivalence verdict is cross-checked against exact simulation;
 # bench_equivalence exits non-zero on any false proved-equal /
 # proved-different or a fix-it prove rate below 0.95, and its JSON
@@ -135,7 +136,7 @@ scripts/validate_bench_json.py --compare \
   build-check/BENCH_equivalence_t1.json \
   build-check/BENCH_equivalence_t8.json
 
-echo "==> [5/11] static resource analysis (resources suites + bench_qec_resources)"
+echo "==> [5/12] static resource analysis (resources suites + bench_qec_resources)"
 # The cost-lattice engine and its QEC ResourcePlan consumer: exact
 # enumeration cross-checks, the certified qubit-reuse fix-it gate, and
 # the schema-4 resource sweep, bit-identical at any thread count.
@@ -151,7 +152,7 @@ scripts/validate_bench_json.py --compare \
   build-check/BENCH_qec_resources_t1.json \
   build-check/BENCH_qec_resources_t8.json
 
-echo "==> [6/11] serving + cache determinism (serve/cache suites + bench_serving)"
+echo "==> [6/12] serving + cache determinism (serve/cache suites + bench_serving)"
 # The async request engine and the content-addressed caching layer:
 # admission decisions, shed/degradation events, virtual-time latency
 # quantiles and the per-layer cache counters/policy-replay stats (the
@@ -169,7 +170,7 @@ scripts/validate_bench_json.py \
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_serving_t1.json build-check/BENCH_serving_t8.json
 
-echo "==> [7/11] request lifecycle (lifecycle suites + chaos-armed bench_serving)"
+echo "==> [7/12] request lifecycle (lifecycle suites + chaos-armed bench_serving)"
 # Deadline propagation, cooperative cancellation and per-site circuit
 # breakers: the lifecycle suites replay the breaker state machine at
 # several thread counts, and a bench_serving run with sustained faults
@@ -189,36 +190,66 @@ scripts/validate_bench_json.py \
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_lifecycle_t1.json build-check/BENCH_lifecycle_t8.json
 
-echo "==> [8/11] clang-tidy (.clang-tidy profile)"
+echo "==> [8/12] golden outputs (bench/golden, captured before the refactors)"
+# The --threads 1 reports of stages [3], [6] and [7] and a traced
+# bench_fig3_techniques run must match the committed goldens outside
+# "timing": a refactor that changes results identically at every thread
+# count passes the t1-vs-t8 compares but not these. A PR that means to
+# change behaviour re-freezes the affected golden and says so in
+# CHANGES.md. The last compare is trace-on vs trace-off: with its
+# "trace" section dropped, the traced report must equal the untraced one.
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_chaos.json build-check/BENCH_chaos_t1.json
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_serving.json build-check/BENCH_serving_t1.json
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_serving_chaos.json build-check/BENCH_lifecycle_t1.json
+./build-check/bench/bench_fig3_techniques --quick --threads 1 \
+  --json build-check/BENCH_fig3_traced.json \
+  --trace build-check/TRACE_fig3.json >/dev/null
+./build-check/bench/bench_fig3_techniques --quick --threads 1 \
+  --json build-check/BENCH_fig3_untraced.json >/dev/null
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_fig3_techniques_trace.json \
+  build-check/BENCH_fig3_traced.json
+python3 -c 'import json, sys; d = json.load(open(sys.argv[1]));
+d.pop("trace"); json.dump(d, open(sys.argv[2], "w"))' \
+  build-check/BENCH_fig3_traced.json build-check/BENCH_fig3_no_trace_section.json
+scripts/validate_bench_json.py --compare \
+  build-check/BENCH_fig3_no_trace_section.json build-check/BENCH_fig3_untraced.json
+
+echo "==> [9/12] clang-tidy (.clang-tidy profile)"
 if [[ "$HAVE_TIDY" == "1" ]]; then
   # Project sources only; third-party and generated code stay out via
   # the explicit file list (compile_commands.json covers everything).
   mapfile -t TIDY_SOURCES < <(find src bench -name '*.cpp' | sort)
   clang-tidy -p build-check --quiet "${TIDY_SOURCES[@]}"
 else
-  skip_stage "[8/11] clang-tidy" "clang-tidy not installed (profile: .clang-tidy)"
+  skip_stage "[9/12] clang-tidy" "clang-tidy not installed (profile: .clang-tidy)"
 fi
 
 if [[ "$SKIP_SAN" == "1" ]]; then
-  skip_stage "[9/11] fail-points-off build" "--quick"
-  skip_stage "[10/11] ASan+UBSan" "--quick"
-  skip_stage "[11/11] TSan" "--quick"
+  skip_stage "[10/12] fail-points-off build" "--quick"
+  skip_stage "[11/12] ASan+UBSan" "--quick"
+  skip_stage "[12/12] TSan" "--quick"
   print_summary
   echo "==> all checks passed (quick)"
   exit 0
 fi
 
-echo "==> [9/11] fail-points-off build (-DQCGEN_FAILPOINTS=OFF)"
+echo "==> [10/12] fail-points-off build (-DQCGEN_FAILPOINTS=OFF)"
 # check()/trip() compile to inline no-op stubs; the dormant paths and
-# their tests must build and pass without the injection machinery.
+# their tests must build and pass without the injection machinery, and
+# the RequestContext injector field (test_run_unit binds it) must still
+# build.
 cmake -B build-nofp -S . -DQCGEN_FAILPOINTS=OFF \
   -DQCGEN_BUILD_BENCH=OFF -DQCGEN_BUILD_EXAMPLES=OFF \
   "${LAUNCHER_ARGS[@]}" >/dev/null
 cmake --build build-nofp -j "$JOBS"
 ctest --test-dir build-nofp --output-on-failure -j "$JOBS" \
-  -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle'
+  -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle|test_run_unit'
 
-echo "==> [10/11] ASan+UBSan build, qasm/lint/qec/fuzz/chaos/serve/lifecycle/retrieval tests"
+echo "==> [11/12] ASan+UBSan build, qasm/lint/qec/fuzz/chaos/serve/lifecycle/retrieval/run-unit tests"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQCGEN_SANITIZE="address;undefined" \
@@ -227,9 +258,9 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_decoders|test_qec_logical|test_verify|test_verify_fuzz|test_fuzz_robustness|test_openqasm|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_llm_retrieval'
+    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_decoders|test_qec_logical|test_verify|test_verify_fuzz|test_fuzz_robustness|test_openqasm|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit'
 
-echo "==> [11/11] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle / retrieval tests"
+echo "==> [12/12] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle / retrieval / run-unit tests"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQCGEN_SANITIZE=thread \
@@ -238,7 +269,7 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_llm_retrieval'
+    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit'
 
 print_summary
 echo "==> all checks passed"

@@ -11,28 +11,28 @@
 //    block and receive the published value as hits. Hit/miss totals are
 //    therefore schedule-independent: however the worker threads
 //    interleave, a key's first resolution is exactly one miss and every
-//    other lookup is a hit (with unbounded capacity, misses == unique
-//    keys). Per-request *attribution* of who missed is schedule-shaped;
-//    only the totals are deterministic, which is what the merged
-//    TraceSink summary and Cache::stats() report.
-//  * Live serving caches run unbounded (capacity 0): eviction order
-//    under concurrency is inherently schedule-dependent, so bounded
-//    capacities are for single-shard tests and offline policy replay
-//    (replay.hpp), where the recorded access trace is replayed
-//    deterministically under LRU/LFU/LTI head-to-head.
+//    other lookup is a hit (misses == unique keys). Per-request
+//    *attribution* of who missed is schedule-shaped; only the totals
+//    are deterministic, which is what the merged TraceSink summary and
+//    Cache::stats() report.
+//  * No eviction: eviction order under concurrency is schedule-
+//    dependent, so replacement policies run only in offline replay of
+//    the recorded access trace (replay.hpp).
 //  * Access-trace recording: with CacheOptions::record_trace, every
-//    lookup appends (tag, seq, key), where the tag is the installed
-//    CacheTagScope (the serving layer tags each request with its id) and
-//    seq is a per-tag counter. Sorting by (tag, seq) reconstructs the
-//    canonical single-threaded access order — valid because each
-//    request's execution is itself deterministic — so the replayed
-//    policy stats are bit-identical at any worker thread count.
+//    lookup appends (tag, seq, key) from the bound RequestContext (the
+//    serving layer tags each request with its id). A compute's own
+//    lookups are tagged with the computed key instead, since which
+//    request wins a single flight is schedule-shaped. Sorting by (tag,
+//    seq) then reconstructs one canonical access order at any thread
+//    count and submission order. Untagged lookups (no context) are
+//    sequenced per cache.
 //
 // A compute that throws unpublishes the in-flight placeholder and wakes
 // the waiters, which retry (the first becomes the new computer); nothing
 // is ever cached from a failed computation.
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -45,40 +45,15 @@
 #include "common/cache/hash.hpp"
 #include "common/cache/policy.hpp"
 #include "common/error.hpp"
+#include "common/request_context.hpp"
 #include "common/trace.hpp"
 
 namespace qcgen::cache {
 
-/// Tags cache accesses on the current thread for trace attribution
-/// (RAII, nestable; the serving layer installs one per request with the
-/// request id as tag). Entering a scope resets the per-tag sequence
-/// counter, so the (tag, seq) pairs a request produces depend only on
-/// its own execution, never on what ran on the worker thread before it.
-class CacheTagScope {
- public:
-  explicit CacheTagScope(std::uint64_t tag) noexcept;
-  ~CacheTagScope();
-  CacheTagScope(const CacheTagScope&) = delete;
-  CacheTagScope& operator=(const CacheTagScope&) = delete;
-
-  /// (current tag, next sequence number) for one recorded access.
-  static std::pair<std::uint64_t, std::uint64_t> next() noexcept;
-
- private:
-  std::uint64_t saved_tag_;
-  std::uint64_t saved_seq_;
-};
-
 struct CacheOptions {
-  /// Metrics prefix: counters surface as cache.<name>.{hits,misses,
-  /// evictions} on the thread-local TraceSink.
+  /// Metrics prefix: counters surface as cache.<name>.{hits,misses} on
+  /// the thread-local TraceSink.
   std::string name = "cache";
-  /// Maximum resident entries per shard; 0 = unbounded. Bounded
-  /// capacities are deterministic only with shards = 1 (policy studies
-  /// run through replay_trace instead of a live bounded cache).
-  std::size_t capacity = 0;
-  /// Online replacement policy (kLru or kLfu; kLti is replay-only).
-  PolicyKind policy = PolicyKind::kLru;
   std::size_t shards = 8;
   /// Record the (tag, seq, key) access trace for offline policy replay.
   bool record_trace = false;
@@ -96,18 +71,10 @@ class Cache {
  public:
   explicit Cache(CacheOptions options) : options_(std::move(options)) {
     require(options_.shards >= 1, "Cache: shards >= 1");
-    require(options_.policy != PolicyKind::kLti,
-            "Cache: lti is an offline oracle (see replay_trace)");
     hits_name_ = "cache." + options_.name + ".hits";
     misses_name_ = "cache." + options_.name + ".misses";
-    evictions_name_ = "cache." + options_.name + ".evictions";
     shards_ = std::vector<Shard>(options_.shards);
-    for (Shard& shard : shards_) {
-      shard.policy = make_policy(options_.policy);
-    }
   }
-
-  const CacheOptions& options() const noexcept { return options_; }
 
   /// Returns the cached value for `key`, computing it via `fn` on a
   /// miss. `fn` runs outside the shard lock; concurrent callers for the
@@ -115,11 +82,14 @@ class Cache {
   /// it, and count as hits (exactly what a sequential re-lookup would).
   template <typename Fn>
   std::shared_ptr<const V> get_or_compute(std::uint64_t key, Fn&& fn) {
+    RequestContext* const context = current_context();
     Shard& shard = shard_for(key);
     std::unique_lock<std::mutex> lock(shard.mutex);
     if (options_.record_trace) {
-      const auto [tag, seq] = CacheTagScope::next();
-      shard.trace.push_back({tag, seq, key});
+      shard.trace.push_back(
+          context != nullptr
+              ? TraceEntry{context->cache_tag, context->cache_seq++, key}
+              : TraceEntry{0, untagged_seq_++, key});
     }
     for (;;) {
       auto it = shard.entries.find(key);
@@ -127,7 +97,6 @@ class Cache {
       if (it->second.value != nullptr) {
         ++shard.stats.lookups;
         ++shard.stats.hits;
-        shard.policy->on_access(key);
         trace::Metrics::counter(hits_name_);
         return it->second.value;
       }
@@ -144,8 +113,14 @@ class Cache {
     trace::Metrics::counter(misses_name_);
     lock.unlock();
 
+    // The compute's own lookups are filed under this entry's key, counted
+    // from 0, whichever request won the single flight.
+    RequestContext compute = context != nullptr ? *context : RequestContext{};
+    compute.cache_tag = key;
+    compute.cache_seq = 0;
     std::shared_ptr<const V> value;
     try {
+      const ContextScope scope(&compute);
       value = std::make_shared<const V>(fn());
     } catch (...) {
       lock.lock();
@@ -158,23 +133,11 @@ class Cache {
     shard.entries[key].value = value;
     ++shard.stats.inserts;
     ++shard.resident;
-    shard.policy->on_insert(key);
-    if (options_.capacity > 0) {
-      while (shard.resident > options_.capacity) {
-        const std::uint64_t evicted = shard.policy->victim();
-        shard.policy->on_erase(evicted);
-        shard.entries.erase(evicted);
-        --shard.resident;
-        ++shard.stats.evictions;
-        trace::Metrics::counter(evictions_name_);
-      }
-    }
     shard.cv.notify_all();
     return value;
   }
 
-  /// Resident value for `key`, or nullptr. Does not touch the policy or
-  /// the stats — an observation aid for tests, not a lookup path.
+  /// Resident value for `key`, or nullptr. Does not touch the stats — an observation aid for tests, not a lookup path.
   std::shared_ptr<const V> peek(std::uint64_t key) const {
     const Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -228,7 +191,6 @@ class Cache {
     mutable std::mutex mutex;
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, Entry> entries;
-    std::unique_ptr<ReplacementPolicy> policy;
     std::size_t resident = 0;  ///< published entries (excludes in-flight)
     PolicyStats stats;
     std::vector<TraceEntry> trace;
@@ -247,8 +209,8 @@ class Cache {
   CacheOptions options_;
   std::string hits_name_;
   std::string misses_name_;
-  std::string evictions_name_;
   std::vector<Shard> shards_;
+  std::atomic<std::uint64_t> untagged_seq_{0};
 };
 
 }  // namespace qcgen::cache

@@ -1,10 +1,11 @@
 #pragma once
-// Replacement policies for the content-addressed cache.
+// Replacement policies for offline replay of a cache's access trace.
 //
-// A ReplacementPolicy tracks the resident key set of one cache shard and
-// answers "which key should go next" when the shard is full. Policies
-// are deliberately tiny — the cache calls exactly one hook per lookup
-// resolution — and deterministic: every tie is broken by a stable rule,
+// A ReplacementPolicy tracks the resident key set of a replayed cache
+// and answers "which key should go next" when it is full. The live
+// caches never evict (cache.hpp); replay_trace (replay.hpp) drives these
+// policies over a recorded trace. Policies are deliberately tiny —
+// replay calls exactly one hook per lookup resolution — and deterministic: every tie is broken by a stable rule,
 // so a replayed access trace always produces the same eviction sequence.
 //
 // Three policies are provided:
@@ -54,7 +55,7 @@ struct PolicyStats {
   friend bool operator==(const PolicyStats&, const PolicyStats&) = default;
 };
 
-/// Residency bookkeeping for one shard. The cache guarantees the call
+/// Residency bookkeeping for one replayed cache. Replay guarantees the call
 /// discipline: on_insert for keys not resident, on_access only for
 /// resident keys, victim()/on_erase only while non-empty.
 class ReplacementPolicy {
@@ -65,7 +66,7 @@ class ReplacementPolicy {
   virtual void on_access(std::uint64_t key) = 0;
   virtual void on_erase(std::uint64_t key) = 0;
   /// The key the policy would evict now. Requires a non-empty resident
-  /// set; does not remove the key (the cache follows up with on_erase).
+  /// set; does not remove the key (replay follows up with on_erase).
   virtual std::uint64_t victim() const = 0;
 };
 
@@ -108,7 +109,7 @@ class LfuPolicy final : public ReplacementPolicy {
 };
 
 /// Belady's oracle over a fully known access sequence. Each processed
-/// trace element advances an internal clock (the cache calls exactly one
+/// trace element advances an internal clock (replay calls exactly one
 /// of on_access/on_insert per lookup), so the policy always knows where
 /// in the future it stands. victim() picks the resident key whose next
 /// use is farthest away (never-used-again keys first, largest key among

@@ -1,15 +1,9 @@
 #include "common/cancel.hpp"
 
+#include "common/request_context.hpp"
 #include "common/trace.hpp"
 
 namespace qcgen::cancel {
-
-namespace {
-
-thread_local CancellationToken t_token;
-thread_local DeadlineBudget* t_budget = nullptr;
-
-}  // namespace
 
 std::string_view cause_name(Cause cause) noexcept {
   switch (cause) {
@@ -71,38 +65,32 @@ bool DeadlineBudget::exhausted() const {
   return limited_ && consumed_ >= total_;
 }
 
-CancelScope::CancelScope(CancellationToken token,
-                         DeadlineBudget* budget) noexcept
-    : previous_token_(t_token), previous_budget_(t_budget) {
-  t_token = std::move(token);
-  t_budget = budget;
+DeadlineBudget* current_budget() noexcept {
+  const RequestContext* context = current_context();
+  return context != nullptr ? context->budget : nullptr;
 }
-
-CancelScope::~CancelScope() {
-  t_token = previous_token_;
-  t_budget = previous_budget_;
-}
-
-DeadlineBudget* current_budget() noexcept { return t_budget; }
 
 void checkpoint(std::string_view site) {
-  if (t_token.cancel_requested()) {
+  const RequestContext* context = current_context();
+  if (context == nullptr) return;
+  if (context->token.cancel_requested()) {
     trace::Metrics::counter("cancel.cancelled");
     throw CancelledError(Cause::kCancelled, std::string(site));
   }
-  if (t_budget != nullptr && t_budget->exhausted()) {
+  if (context->budget != nullptr && context->budget->exhausted()) {
     trace::Metrics::counter("cancel.deadline_exceeded");
     throw CancelledError(Cause::kDeadlineExceeded, std::string(site));
   }
 }
 
 void charge(std::string_view site, double units) {
-  if (t_budget != nullptr) t_budget->charge(units);
+  if (DeadlineBudget* budget = current_budget()) budget->charge(units);
   checkpoint(site);
 }
 
 double budget_pressure() noexcept {
-  return t_budget != nullptr ? t_budget->pressure() : 0.0;
+  const DeadlineBudget* budget = current_budget();
+  return budget != nullptr ? budget->pressure() : 0.0;
 }
 
 }  // namespace qcgen::cancel

@@ -13,12 +13,11 @@
 //     pipeline charges per-stage costs, injected delays and retry
 //     backoff against it.
 //
-// Both are installed thread-locally for the span of one request via
-// CancelScope (the same RAII discipline as failpoint::InjectorScope and
-// trace::SinkScope), so the pipeline stages need no extra parameters:
-// they call checkpoint(site) at stage boundaries, repair-loop
-// iterations and decoder rounds, and charge(site, units) as work
-// completes. A checkpoint that observes a cancelled token or an
+// Both ride on the thread's bound RequestContext
+// (common/request_context.hpp) for the span of one request, so the
+// pipeline stages need no extra parameters: they call checkpoint(site)
+// at stage boundaries, repair-loop iterations and decoder rounds, and
+// charge(site, units) as work completes. A checkpoint that observes a cancelled token or an
 // exhausted budget throws CancelledError, which the serving layer turns
 // into a structured kCancelled / kDeadlineExceeded outcome — never a
 // hung worker or silently discarded work.
@@ -46,8 +45,8 @@ enum class Cause {
 
 std::string_view cause_name(Cause cause) noexcept;
 
-/// Thrown by checkpoint()/charge() when the installed token is cancelled
-/// or the installed budget is exhausted. Carries the checkpoint site that
+/// Thrown by checkpoint()/charge() when the bound token is cancelled
+/// or the bound budget is exhausted. Carries the checkpoint site that
 /// observed the condition, so outcomes stay attributable (the same
 /// discipline as failpoint::InjectedFault::site).
 class CancelledError : public QcgenError {
@@ -129,37 +128,22 @@ class DeadlineBudget {
   double consumed_ = 0.0;
 };
 
-/// RAII: installs (token, budget) as this thread's request-lifecycle
-/// state and restores the previous binding on destruction — the
-/// InjectorScope pattern, so nested scopes (a server request spawning a
-/// sub-pipeline) compose. `budget` may be null (no deadline).
-class CancelScope {
- public:
-  CancelScope(CancellationToken token, DeadlineBudget* budget) noexcept;
-  ~CancelScope();
-  CancelScope(const CancelScope&) = delete;
-  CancelScope& operator=(const CancelScope&) = delete;
-
- private:
-  CancellationToken previous_token_;
-  DeadlineBudget* previous_budget_;
-};
-
-/// This thread's installed budget (nullptr outside any CancelScope).
+/// The budget of this thread's bound RequestContext (nullptr when no
+/// context is bound or it carries no deadline).
 DeadlineBudget* current_budget() noexcept;
 
 /// Cooperative cancellation point. Throws CancelledError when the
-/// installed token is cancelled (Cause::kCancelled) or the installed
+/// bound token is cancelled (Cause::kCancelled) or the bound
 /// budget is exhausted (Cause::kDeadlineExceeded); otherwise a cheap
 /// thread-local read. `site` names the checkpoint for attribution.
 void checkpoint(std::string_view site);
 
-/// Charges `units` of completed virtual work against the installed
+/// Charges `units` of completed virtual work against the bound
 /// budget (no-op without one), then checkpoints: an exhausted budget is
 /// observed as soon as the work that exhausted it completes.
 void charge(std::string_view site, double units);
 
-/// consumed/total of the installed budget; 0.0 when none is installed or
+/// consumed/total of the bound budget; 0.0 when none is bound or
 /// the budget is unlimited. Degradation ladders read this to pre-degrade
 /// under budget pressure before the hard deadline fires.
 double budget_pressure() noexcept;

@@ -6,13 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/request_context.hpp"
 #include "common/trace.hpp"
 
 namespace qcgen::failpoint {
 
 namespace {
-
-thread_local Injector* t_injector = nullptr;
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
@@ -304,19 +303,15 @@ std::uint64_t Injector::fired() const {
   return fired_;
 }
 
-Injector* current_injector() noexcept { return t_injector; }
-
-InjectorScope::InjectorScope(Injector* injector) noexcept
-    : previous_(t_injector) {
-  t_injector = injector;
+Injector* current_injector() noexcept {
+  const RequestContext* context = current_context();
+  return context != nullptr ? context->injector : nullptr;
 }
-
-InjectorScope::~InjectorScope() { t_injector = previous_; }
 
 #if QCGEN_FAILPOINTS_ENABLED
 
 std::optional<Hit> check(std::string_view site, int pass) {
-  Injector* injector = t_injector;
+  Injector* injector = current_injector();
   if (injector == nullptr) return std::nullopt;
   return injector->hit(site, pass);
 }

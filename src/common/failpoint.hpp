@@ -26,8 +26,8 @@
 // wall-clock. `delay` points therefore charge abstract *budget units*
 // (accounted by the resilience layer) instead of sleeping.
 //
-// Sites consult the thread-locally installed Injector (InjectorScope,
-// mirroring trace::SinkScope); with none installed a check is a
+// Sites consult the injector of the thread's bound RequestContext
+// (common/request_context.hpp); with none bound a check is a
 // thread-local read and a branch. Building with -DQCGEN_FAILPOINTS=OFF
 // compiles every check to `return std::nullopt` so instrumentation
 // vanishes from release binaries entirely.
@@ -154,22 +154,9 @@ class Injector {
   std::uint64_t fired_ = 0;
 };
 
-/// The injector fail points on this thread consult (nullptr = dormant).
+/// The injector of this thread's bound RequestContext (nullptr =
+/// dormant).
 Injector* current_injector() noexcept;
-
-/// RAII: installs `injector` as this thread's injector and restores the
-/// previous binding on destruction. nullptr disables injection for the
-/// scope, so call sites can pass an optional injector unconditionally.
-class InjectorScope {
- public:
-  explicit InjectorScope(Injector* injector) noexcept;
-  ~InjectorScope();
-  InjectorScope(const InjectorScope&) = delete;
-  InjectorScope& operator=(const InjectorScope&) = delete;
-
- private:
-  Injector* previous_;
-};
 
 #if QCGEN_FAILPOINTS_ENABLED
 

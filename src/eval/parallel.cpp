@@ -22,6 +22,30 @@ std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t case_idx,
   return splitmix64(state);
 }
 
+std::optional<UnitFailure> run_unit(
+    trace::TraceSink* sink, RequestContext& context,
+    std::string_view default_stage, const std::function<void()>& body,
+    const std::function<void(const UnitFailure&)>& on_failure) {
+  const trace::SinkScope sink_scope(sink);
+  const ContextScope context_scope(&context);
+  const std::string stage(default_stage);
+  UnitFailure failure;
+  try {
+    body();
+    return std::nullopt;
+  } catch (const cancel::CancelledError& error) {
+    failure = {stage, error.site(), 0, error.what(), error.cause()};
+  } catch (const agents::PipelineStageError& error) {
+    failure = {error.stage(), error.site(), error.retries(), error.what(), {}};
+  } catch (const failpoint::InjectedFault& fault) {
+    failure = {stage, fault.site(), 0, fault.what(), {}};
+  } catch (const std::exception& error) {
+    failure = {stage, "", 0, error.what(), {}};
+  }
+  if (on_failure) on_failure(failure);
+  return failure;
+}
+
 namespace {
 
 // Salts the experiment seed into independent chaos streams, so arming a
@@ -63,20 +87,23 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   references.reserve(suite.size());
   {
     std::optional<failpoint::Injector> oracle_injector;
-    std::optional<failpoint::InjectorScope> oracle_scope;
     if (scenario != nullptr) {
       oracle_injector.emplace(scenario, options.seed ^ kOracleChaosSalt);
-      oracle_scope.emplace(&*oracle_injector);
     }
+    RequestContext oracle_context{
+        .injector = oracle_injector ? &*oracle_injector : nullptr};
     for (std::size_t case_idx = 0; case_idx < suite.size(); ++case_idx) {
-      try {
-        references.push_back(&oracle.reference_for(suite[case_idx]));
-      } catch (const std::exception& error) {
+      const sim::Distribution* reference = &kEmptyReference;
+      const auto failure =
+          run_unit(trace::current_sink(), oracle_context, "oracle", [&] {
+            reference = &oracle.reference_for(suite[case_idx]);
+          });
+      if (failure.has_value()) {
         matrix.degradations.push_back(
             {case_idx, 0,
-             {0, "oracle", "reference", "static-only", error.what()}});
-        references.push_back(&kEmptyReference);
+             {0, "oracle", "reference", "static-only", failure->what, ""}});
       }
+      references.push_back(reference);
     }
   }
 
@@ -99,7 +126,6 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
 
   ThreadPool pool(options.threads);
   pool.parallel_for(n_trials, [&](std::size_t trial) {
-    trace::SinkScope scope(tracing ? sinks[trial].get() : nullptr);
     const std::size_t case_idx = trial / samples_per_case;
     const std::size_t sample_idx = trial % samples_per_case;
     TrialResult& out = results[trial];
@@ -109,33 +135,29 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     // decisions depend only on (seed, case, sample), never the worker
     // schedule, so chaos runs are bit-identical at any thread count.
     std::optional<failpoint::Injector> injector;
-    std::optional<failpoint::InjectorScope> injector_scope;
     if (scenario != nullptr) {
       injector.emplace(scenario, trial_seed(options.seed ^ kTrialChaosSalt,
                                             case_idx, sample_idx));
-      injector_scope.emplace(&*injector);
     }
-    try {
-      failpoint::trip("pool.task");
-      agents::MultiAgentPipeline pipeline(
-          technique, resources, options.analyzer, options.qec, options.device,
-          trial_seed(options.seed, case_idx, sample_idx));
-      pipeline.set_resilience(options.resilience);
-      out.pipeline = pipeline.run(suite[case_idx].task, *references[case_idx],
-                                  case_idx);
-    } catch (const agents::PipelineStageError& error) {
-      out.failure = TrialFailure{case_idx, sample_idx, error.stage(),
-                                 error.site(), error.retries(), error.what()};
-    } catch (const failpoint::InjectedFault& fault) {
-      out.failure =
-          TrialFailure{case_idx, sample_idx, "trial", fault.site(), 0,
-                       fault.what()};
-    } catch (const std::exception& error) {
-      out.failure =
-          TrialFailure{case_idx, sample_idx, "trial", "", 0, error.what()};
-    }
-    if (out.failure.has_value()) {
-      trace::Metrics::counter("eval.trial_failures");
+    RequestContext context{.injector = injector ? &*injector : nullptr};
+    const auto failure = run_unit(
+        tracing ? sinks[trial].get() : nullptr, context, "trial",
+        [&] {
+          failpoint::trip("pool.task");
+          agents::MultiAgentPipeline pipeline(
+              technique, resources, options.analyzer, options.qec,
+              options.device, trial_seed(options.seed, case_idx, sample_idx));
+          pipeline.set_resilience(options.resilience);
+          out.pipeline = pipeline.run(suite[case_idx].task,
+                                      *references[case_idx], case_idx);
+        },
+        [](const UnitFailure&) {
+          trace::Metrics::counter("eval.trial_failures");
+        });
+    if (failure.has_value()) {
+      out.failure = TrialFailure{case_idx,      sample_idx,
+                                 failure->stage, failure->site,
+                                 failure->retries, failure->what};
     }
   });
 

@@ -19,14 +19,21 @@
 // the full matrix. When RunnerOptions::chaos_scenario is set, each trial
 // runs under its own failpoint::Injector seeded from the trial stream —
 // injection decisions are per-trial deterministic and thread-invariant.
+//
+// run_unit is the execution kernel trials share with served requests
+// (serve::Server): it binds a unit's trace sink and RequestContext, runs
+// the body, and maps whatever it throws to one UnitFailure record.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "agents/codegen_agent.hpp"
 #include "agents/pipeline.hpp"
+#include "common/cancel.hpp"
+#include "common/request_context.hpp"
 #include "common/trace.hpp"
 #include "eval/suite.hpp"
 
@@ -40,6 +47,28 @@ struct RunnerOptions;
 /// stable across platforms (pure 64-bit integer mixing).
 std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t case_idx,
                          std::uint64_t sample_idx) noexcept;
+
+/// How one unit of work (a trial or a served request) failed.
+struct UnitFailure {
+  std::string stage;  ///< pipeline stage, or the caller's default label
+  std::string site;   ///< fail-point or checkpoint site ("" if organic)
+  int retries = 0;    ///< stage retries spent before giving up
+  std::string what;
+  /// Set when a cancellation checkpoint aborted the unit.
+  std::optional<cancel::Cause> cause;
+};
+
+/// Runs one unit of work: binds `sink` (may be null) and `context` to
+/// this thread, runs `body`, and contains what it throws. A
+/// cancel::CancelledError, an agents::PipelineStageError, a
+/// failpoint::InjectedFault and any other std::exception each map to one
+/// UnitFailure, labelled `default_stage` unless a pipeline stage failed.
+/// `on_failure` runs under the same bindings, so the caller's failure
+/// counters land in the unit's sink. Returns nullopt when `body` returned.
+std::optional<UnitFailure> run_unit(
+    trace::TraceSink* sink, RequestContext& context,
+    std::string_view default_stage, const std::function<void()>& body,
+    const std::function<void(const UnitFailure&)>& on_failure = {});
 
 /// A degradation-ladder step attributed to the trial it happened in
 /// (case_idx/sample_idx are 0 for matrix-level events like the oracle

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "eval/parallel.hpp"
 
 namespace qcgen::serve {
 
@@ -93,6 +94,14 @@ std::vector<std::string> succeeded_sites_of(
   return filtered;
 }
 
+/// The lifecycle outcome of a request whose body threw.
+RequestOutcome outcome_of(const eval::UnitFailure& failure) {
+  if (!failure.cause.has_value()) return RequestOutcome::kFailed;
+  return *failure.cause == cancel::Cause::kDeadlineExceeded
+             ? RequestOutcome::kDeadlineExceeded
+             : RequestOutcome::kCancelled;
+}
+
 }  // namespace
 
 Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
@@ -105,7 +114,6 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   require(options_.chaos_scenario.empty() || !options_.cache.enabled,
           "Server: chaos_scenario and cache.enabled are mutually exclusive "
           "(injected faults are per-request; memoized computes are shared)");
-  require(options_.cache.shards >= 1, "Server: cache.shards >= 1");
   // Resources are built mutable so the retrieval cache can be attached
   // to the BM25 stores, then frozen behind the const shared_ptr every
   // worker reads through.
@@ -115,9 +123,6 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     const auto make = [&](const char* name) {
       cache::CacheOptions cache_options;
       cache_options.name = name;
-      cache_options.capacity = options_.cache.capacity;
-      cache_options.policy = options_.cache.policy;
-      cache_options.shards = options_.cache.shards;
       cache_options.record_trace = options_.cache.record_trace;
       return cache_options;
     };
@@ -220,11 +225,7 @@ void Server::execute_one() {
   if (options_.trace != nullptr) {
     sink = std::make_unique<trace::TraceSink>(options_.trace->keep_events());
   }
-  RequestResult result;
-  {
-    trace::SinkScope scope(sink.get());
-    result = run_request(item->request, item->ticket);
-  }
+  RequestResult result = run_request(item->request, item->ticket, sink.get());
   result.wall_latency_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     item->submitted_at)
@@ -254,7 +255,8 @@ void Server::execute_one() {
 }
 
 RequestResult Server::run_request(const Request& request,
-                                  const AdmissionTicket& ticket) {
+                                  const AdmissionTicket& ticket,
+                                  trace::TraceSink* sink) {
   RequestResult result;
   result.id = request.id;
   result.case_id = request.test_case.id;
@@ -263,9 +265,8 @@ RequestResult Server::run_request(const Request& request,
   result.virtual_finish = ticket.virtual_finish;
   result.virtual_latency = ticket.virtual_finish - request.arrival_vt;
 
-  // Install this request's cancellation token and deadline budget for
-  // the span of the run (booked at submit; the defensive [] covers only
-  // impossible orderings).
+  // Bind this request's cancellation token and deadline budget (booked
+  // at submit; the defensive [] covers only impossible orderings).
   cancel::CancellationToken token;
   std::shared_ptr<cancel::DeadlineBudget> budget;
   {
@@ -278,25 +279,24 @@ RequestResult Server::run_request(const Request& request,
     budget = lifecycle.budget;
     result.deadline_units = lifecycle.deadline_units;
   }
-  cancel::CancelScope cancel_scope(token, budget.get());
 
   // Per-request injector on an independent chaos stream: injection
   // decisions depend only on (seed, id), never the worker schedule.
   std::optional<failpoint::Injector> injector;
-  std::optional<failpoint::InjectorScope> injector_scope;
   if (scenario_ != nullptr) {
     injector.emplace(scenario_,
                      request_seed(options_.seed ^ kServeChaosSalt, request.id));
-    injector_scope.emplace(&*injector);
   }
 
-  // Tag this request's cache accesses so recorded traces reconstruct a
+  // The cache tag is the request id, so recorded traces reconstruct a
   // canonical (request-id, call-sequence) order at any thread count.
-  std::optional<cache::CacheTagScope> tag_scope;
-  if (options_.cache.enabled) tag_scope.emplace(request.id);
+  RequestContext context{.injector = injector ? &*injector : nullptr,
+                         .token = token,
+                         .budget = budget.get(),
+                         .cache_tag = request.id};
 
-  // Outlives the try so an aborted run's partial degradation ladder (the
-  // request's per-site fault evidence) can be salvaged in the catches.
+  // Outlives the body so an aborted run's partial degradation ladder (the
+  // request's per-site fault evidence) can be salvaged below.
   std::optional<agents::MultiAgentPipeline> pipeline;
   // Exercise accounting for the breaker's positive evidence (see
   // succeeded_sites_of): which optional stages this request's
@@ -305,7 +305,7 @@ RequestResult Server::run_request(const Request& request,
   bool have_reference = false;
   bool abstract_lints = false;
   bool qec_ran = false;
-  try {
+  const auto body = [&] {
     // Born-cancelled requests resolve here, before the breaker gate —
     // they never block on (or contribute signal to) the event log.
     cancel::checkpoint("serve.request");
@@ -401,33 +401,21 @@ RequestResult Server::run_request(const Request& request,
       result.outcome = RequestOutcome::kCompleted;
       trace::Metrics::counter("serve.completed");
     }
-  } catch (const cancel::CancelledError& error) {
-    result.outcome = error.cause() == cancel::Cause::kDeadlineExceeded
-                         ? RequestOutcome::kDeadlineExceeded
-                         : RequestOutcome::kCancelled;
-    result.failure_stage = "request";
-    result.failure_site = error.site();
-    result.failure_what = error.what();
-    trace::Metrics::counter(result.outcome == RequestOutcome::kCancelled
+  };
+  const auto count_failure = [](const eval::UnitFailure& failure) {
+    const RequestOutcome outcome = outcome_of(failure);
+    trace::Metrics::counter(outcome == RequestOutcome::kCancelled
                                 ? "serve.cancelled"
-                                : "serve.deadline_exceeded");
-  } catch (const agents::PipelineStageError& error) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = error.stage();
-    result.failure_site = error.site();
-    result.failure_what = error.what();
-    trace::Metrics::counter("serve.request_failures");
-  } catch (const failpoint::InjectedFault& fault) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = "request";
-    result.failure_site = fault.site();
-    result.failure_what = fault.what();
-    trace::Metrics::counter("serve.request_failures");
-  } catch (const std::exception& error) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = "request";
-    result.failure_what = error.what();
-    trace::Metrics::counter("serve.request_failures");
+                            : outcome == RequestOutcome::kDeadlineExceeded
+                                ? "serve.deadline_exceeded"
+                                : "serve.request_failures");
+  };
+  if (const auto failure =
+          eval::run_unit(sink, context, "request", body, count_failure)) {
+    result.outcome = outcome_of(*failure);
+    result.failure_stage = failure->stage;
+    result.failure_site = failure->site;
+    result.failure_what = failure->what;
   }
   // An aborted run (deadline, cancel, stage error) discards its partial
   // pipeline result, but the ladder steps it took up to the abort are

@@ -53,14 +53,10 @@ namespace qcgen::serve {
 /// with chaos scenarios (injected faults are per-request, memoized
 /// computes are not).
 struct CacheConfig {
+  /// Caches never evict, which keeps live hit/miss totals thread-count
+  /// invariant (misses == unique keys); bounded-capacity policy studies
+  /// replay the recorded access trace offline (cache::replay_trace).
   bool enabled = false;
-  cache::PolicyKind policy = cache::PolicyKind::kLru;
-  /// Per-shard entry capacity; 0 = unbounded. Unbounded keeps live
-  /// hit/miss totals thread-count invariant (misses == unique keys);
-  /// bounded-capacity policy studies belong in offline replay of the
-  /// recorded access trace (cache::replay_trace).
-  std::size_t capacity = 0;
-  std::size_t shards = 8;
   /// Record the per-request-tagged access trace for offline replay.
   bool record_trace = false;
   /// Certification mode: run the content-addressed compute path with no
@@ -201,8 +197,10 @@ class Server {
   };
 
   void execute_one();
+  /// Runs one request through eval::run_unit, recording into `sink`.
   RequestResult run_request(const Request& request,
-                            const AdmissionTicket& ticket);
+                            const AdmissionTicket& ticket,
+                            trace::TraceSink* sink);
 
   Options options_;
   std::shared_ptr<const agents::TechniqueResources> resources_;

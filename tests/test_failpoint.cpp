@@ -1,7 +1,8 @@
 // Tests for the deterministic fault-injection framework
 // (common/failpoint.hpp): scenario grammar + canonical round-trip,
-// per-site seeded triggering, guards, thread-local injector scoping and
-// the determinism contract chaos runs rely on.
+// per-site seeded triggering, guards, and the determinism contract chaos
+// runs rely on. Binding an injector to a thread (RequestContext) is
+// covered by tests/test_run_unit.cpp.
 
 #include "common/failpoint.hpp"
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/request_context.hpp"
 
 namespace qcgen::failpoint {
 namespace {
@@ -227,33 +229,6 @@ TEST(Injector, UnarmedSiteNeverFires) {
   }
 }
 
-TEST(InjectorScope, InstallsAndRestoresThreadLocally) {
-  EXPECT_EQ(current_injector(), nullptr);
-  const auto scenario = make_scenario("site.a=error(1.0)");
-  Injector injector(scenario, 0);
-  {
-    InjectorScope scope(&injector);
-    EXPECT_EQ(current_injector(), &injector);
-    {
-      InjectorScope inner(nullptr);  // explicit dormant scope
-      EXPECT_EQ(current_injector(), nullptr);
-    }
-    EXPECT_EQ(current_injector(), &injector);
-  }
-  EXPECT_EQ(current_injector(), nullptr);
-}
-
-TEST(InjectorScope, BindingIsPerThread) {
-  const auto scenario = make_scenario("site.a=error(1.0)");
-  Injector injector(scenario, 0);
-  InjectorScope scope(&injector);
-  Injector* seen = &injector;
-  std::thread other([&seen] { seen = current_injector(); });
-  other.join();
-  EXPECT_EQ(seen, nullptr);  // the other thread never installed one
-  EXPECT_EQ(current_injector(), &injector);
-}
-
 TEST(FailPoints, DormantCheckAndTripAreNoOps) {
   ASSERT_EQ(current_injector(), nullptr);
   EXPECT_FALSE(check("llm.generate").has_value());
@@ -265,7 +240,8 @@ TEST(FailPoints, DormantCheckAndTripAreNoOps) {
 TEST(FailPoints, TripThrowsInjectedFaultWithSite) {
   const auto scenario = make_scenario("llm.generate=error(1.0)");
   Injector injector(scenario, 0);
-  InjectorScope scope(&injector);
+  RequestContext context{.injector = &injector};
+  const ContextScope scope(&context);
   try {
     (void)trip("llm.generate");
     FAIL() << "trip did not throw";
@@ -279,7 +255,8 @@ TEST(FailPoints, TripThrowsInjectedFaultWithSite) {
 TEST(FailPoints, TripReturnsNonErrorHits) {
   const auto scenario = make_scenario("a=delay(1.5);b=corrupt(1.0)");
   Injector injector(scenario, 0);
-  InjectorScope scope(&injector);
+  RequestContext context{.injector = &injector};
+  const ContextScope scope(&context);
   const auto delay = trip("a");
   ASSERT_TRUE(delay.has_value());
   EXPECT_EQ(delay->action, Action::kDelay);

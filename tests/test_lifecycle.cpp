@@ -17,6 +17,7 @@
 #include "common/cache/cache.hpp"
 #include "common/cancel.hpp"
 #include "common/failpoint.hpp"
+#include "common/request_context.hpp"
 #include "common/trace.hpp"
 #include "eval/suite.hpp"
 #include "serve/breaker.hpp"
@@ -71,7 +72,7 @@ std::string lifecycle_fingerprint(const serve::RequestResult& result) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// DeadlineBudget / CancelScope primitives
+// DeadlineBudget and checkpoint primitives
 
 TEST(DeadlineBudget, ChargesTightensAndReportsPressure) {
   cancel::DeadlineBudget budget(10.0);
@@ -102,10 +103,11 @@ TEST(DeadlineBudget, UnlimitedUntilTightened) {
   EXPECT_TRUE(budget.exhausted());
 }
 
-TEST(CancelScope, CheckpointThrowsStructuredCancelledError) {
+TEST(Checkpoint, ThrowsStructuredCancelledError) {
   cancel::CancelSource source;
   cancel::DeadlineBudget budget(1.0);
-  cancel::CancelScope scope(source.token(), &budget);
+  RequestContext context{.token = source.token(), .budget = &budget};
+  const ContextScope scope(&context);
   EXPECT_NO_THROW(cancel::checkpoint("stage.alpha"));
   // Exhaust the budget: the charge that crosses the line throws, with
   // the charging site attributed.
@@ -127,17 +129,6 @@ TEST(CancelScope, CheckpointThrowsStructuredCancelledError) {
   }
 }
 
-TEST(CancelScope, RestoresPreviousBindingOnExit) {
-  cancel::DeadlineBudget outer_budget(50.0);
-  cancel::CancelScope outer(cancel::CancellationToken(), &outer_budget);
-  {
-    cancel::DeadlineBudget inner_budget(5.0);
-    cancel::CancelScope inner(cancel::CancellationToken(), &inner_budget);
-    EXPECT_EQ(cancel::current_budget(), &inner_budget);
-  }
-  EXPECT_EQ(cancel::current_budget(), &outer_budget);
-}
-
 // ---------------------------------------------------------------------------
 // Single-flight cache x cancellation
 
@@ -151,7 +142,8 @@ TEST(Cancellation, CancelledComputeNeverPublishes) {
   cancel::CancelSource source;
   source.request_cancel();
   {
-    cancel::CancelScope scope(source.token(), nullptr);
+    RequestContext context{.token = source.token()};
+    const ContextScope scope(&context);
     EXPECT_THROW(cache.get_or_compute(42, [] {
       cancel::checkpoint("compute");
       return 1;  // unreachable
@@ -240,7 +232,8 @@ TEST(ServerLifecycle, DestructionContainsFaultingDrain) {
   trace::TraceSink sink(/*keep_events=*/false);
   {
     trace::SinkScope sink_scope(&sink);
-    failpoint::InjectorScope injector_scope(&injector);
+    RequestContext context{.injector = &injector};
+    const ContextScope context_scope(&context);
     serve::Server server(lifecycle_options(2), catalog);
     serve::Session session(server, 1);
     auto future = session.submit(0, catalog[0], 0.0);

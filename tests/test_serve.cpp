@@ -394,6 +394,8 @@ TEST(Server, UncatalogedCasesRunStaticOnlyVerification) {
   EXPECT_EQ(result.level, serve::AdmissionLevel::kFull);
 }
 
+#if QCGEN_FAILPOINTS_ENABLED
+
 TEST(Server, ChaosFailuresAreContainedAsStructuredOutcomes) {
   const auto catalog = small_catalog();
   auto options = server_options(2, serve::AdmissionOptions::unlimited());
@@ -416,6 +418,8 @@ TEST(Server, ChaosFailuresAreContainedAsStructuredOutcomes) {
   EXPECT_EQ(server.stats().failed, 6u);
   EXPECT_EQ(server.stats().completed, 0u);
 }
+
+#endif  // QCGEN_FAILPOINTS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Cross-request caching
@@ -493,6 +497,38 @@ TEST(ServerCache, CountersAndTracesAreThreadCountInvariant) {
     EXPECT_EQ(serial[i].trace, parallel[i].trace) << serial[i].layer;
     EXPECT_EQ(serial[i].stats.lookups, serial[i].trace.size());
     EXPECT_EQ(serial[i].stats.evictions, 0u);
+  }
+}
+
+TEST(ServerCache, TracesAreSubmissionOrderInvariant) {
+  // One worker runs requests in submission order, so reversing the order
+  // changes which request computes each shared entry first. Lookups made
+  // inside a compute (retrieval inside generation) must not be charged to
+  // whichever request won it, or the canonical trace rotates.
+  const auto catalog = small_catalog();
+  auto run = [&](bool reversed) {
+    auto options = server_options(1, serve::AdmissionOptions::unlimited());
+    options.cache.enabled = true;
+    options.cache.record_trace = true;
+    serve::Server server(options, catalog);
+    serve::Session session(server, /*session_id=*/3);
+    std::vector<std::future<serve::RequestResult>> futures;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      const std::uint64_t id = reversed ? 9 - i : i;
+      futures.push_back(session.submit(id, catalog[id % catalog.size()], 0.0));
+    }
+    server.drain();
+    for (auto& future : futures) future.get();
+    return server.cache_reports();
+  };
+  const auto forward = run(false);
+  const auto backward = run(true);
+  ASSERT_EQ(forward.size(), 3u);
+  ASSERT_EQ(backward.size(), 3u);
+  for (std::size_t i = 0; i < forward.size(); ++i) {
+    EXPECT_EQ(forward[i].layer, backward[i].layer);
+    EXPECT_EQ(forward[i].stats, backward[i].stats) << forward[i].layer;
+    EXPECT_EQ(forward[i].trace, backward[i].trace) << forward[i].layer;
   }
 }
 
