@@ -18,18 +18,22 @@ namespace qtrace = ::qcgen::trace;
 
 namespace {
 
-/// Permanent failure of one stage attempt sequence.
-struct StageFailure {
-  std::string site;  ///< fail-point site, "" for organic exceptions
-  std::string what;
-};
+// Virtual cost each stage charges against the request's deadline budget
+// (cancel::charge) as it completes, in the units injected delays and
+// retry backoff consume. Without an installed budget the charges are
+// no-ops.
+constexpr double kGenerateCost = 1.0;
+constexpr double kAnalyzeCost = 0.5;
+constexpr double kVerifyCost = 0.75;
+constexpr double kRepairCost = 1.0;
+constexpr double kQecCost = 1.5;
 
 /// Runs `body` under the resilience policy: retries with seeded,
 /// budget-charged backoff; injected delay units count against the stage
 /// budget; exhausting either retries or budget returns the failure.
 /// Returns nullopt on success. Behaviour-identical to a bare body()
 /// call when nothing throws and no delay fires.
-std::optional<StageFailure> run_guarded(const char* stage,
+std::optional<StageFailure> run_guarded(Stage stage,
                                         const ResilienceOptions& options,
                                         Rng& rng, PipelineResult& result,
                                         const std::function<void()>& body) {
@@ -66,8 +70,8 @@ std::optional<StageFailure> run_guarded(const char* stage,
                              budget_used > options.stage_budget_units;
     if (ok) {
       if (over_budget) {
-        return StageFailure{
-            "", std::string(stage) + ": stage budget exhausted by delays"};
+        return StageFailure{"", std::string(stage_row(stage).name) +
+                                    ": stage budget exhausted by delays"};
       }
       return std::nullopt;
     }
@@ -167,7 +171,8 @@ void MultiAgentPipeline::set_caches(PipelineCaches caches) {
   }
 }
 
-const SemanticAnalyzerAgent& MultiAgentPipeline::degraded_analyzer() {
+const SemanticAnalyzerAgent& MultiAgentPipeline::core_lints_analyzer() {
+  if (!analyzer_.options().analysis.abstract_lints) return analyzer_;
   if (!degraded_analyzer_.has_value()) {
     SemanticAnalyzerAgent::Options options = analyzer_.options();
     options.analysis.abstract_lints = false;
@@ -182,6 +187,7 @@ PipelineResult MultiAgentPipeline::run(const llm::TaskSpec& task,
                                        std::size_t prompt_index) {
   PipelineResult result;
   last_degradations_.clear();
+  full_rung_ = 0;
   try {
     run_into(result, task, reference, prompt_index);
   } catch (...) {
@@ -200,57 +206,59 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
                                   const sim::Distribution& reference,
                                   std::size_t prompt_index) {
   qtrace::TraceSpan run_span("pipeline.run");
+  const auto guarded = [&](Stage stage, const std::function<void()>& body) {
+    return run_guarded(stage, resilience_, resilience_rng_, result, body);
+  };
+  const auto note = [&](PassTrace* pass_trace) {
+    return [&result, pass_trace](DegradationEvent event) {
+      note_degradation(result, pass_trace, std::move(event));
+    };
+  };
+  const auto stage_error = [&](Stage stage, const StageFailure& failure) {
+    return PipelineStageError(std::string(stage_row(stage).name), failure.site,
+                              result.stage_retries, failure.what);
+  };
   llm::GenerationResult generation;
   cancel::checkpoint("pipeline.generate");
-  // Tight deadline budget: pre-walk the rag rung before spending any of
-  // the remainder on retrieval (the same reduced configuration a
-  // retrieval failure or a loaded admission controller degrades to).
-  if (resilience_.degrade && rag_enabled_ &&
-      (codegen_.config().rag_api || codegen_.config().rag_guides) &&
-      cancel::budget_pressure() >= resilience_.pressure_no_rag) {
-    note_degradation(result, nullptr,
-                     {0, "generate", "rag", "no-rag", "budget-pressure", ""});
-    rag_enabled_ = false;
+  StartInputs inputs{.admission = conditions_.admission,
+                     .open_sites = conditions_.open_sites,
+                     .has_reference = !reference.empty()};
+  // The RAG rung is decided once, before the first generation, and held
+  // for every repair; a technique without RAG has only the no-rag rung.
+  std::size_t rag_rung = 1;
+  if (codegen_.config().rag_api || codegen_.config().rag_guides) {
+    inputs.pressure = cancel::budget_pressure();
+    const Start start = start_rung(Stage::kGenerate, inputs);
+    if (start.cause == Cause::kPressure) {
+      note_degradation(result, nullptr, pressure_step(Stage::kGenerate, 0));
+    }
+    rag_rung = start.rung;
+    if (rag_rung == 0) full_rung_ |= bit(Stage::kGenerate);
   }
-  // Admission control may have pre-walked the rag rung (rag_enabled_
-  // false), in which case the ladder has nowhere further to go.
-  const bool has_rag =
-      rag_enabled_ &&
-      (codegen_.config().rag_api || codegen_.config().rag_guides);
-  // A no-RAG retry only helps when the failure plausibly came from the
-  // retrieval path, not from an injected model fault.
-  const auto rag_rung_applies = [&](const StageFailure& failure) {
-    return has_rag &&
-           (failure.site.empty() || failure.site == "retrieval.query");
-  };
+  // Verification re-reads the pressure on each pass until it trips, then
+  // holds static-only; the other causes are known up front.
+  inputs.pressure = 0.0;
+  Start verify = start_rung(Stage::kVerify, inputs);
+  std::size_t analyze_rung = 1;
+  if (analyzer_.options().analysis.abstract_lints) {
+    analyze_rung = start_rung(Stage::kAnalyze, inputs).rung;
+    if (analyze_rung == 0) full_rung_ |= bit(Stage::kAnalyze);
+  }
 
   {
     qtrace::TraceSpan span("pipeline.generate");
-    auto failed = run_guarded(
-        "generate", resilience_, resilience_rng_, result, [&] {
-          generation = codegen_.generate(task, prompt_index, rag_enabled_);
-        });
-    if (failed.has_value() && resilience_.degrade &&
-        rag_rung_applies(*failed)) {
-      note_degradation(
-          result, nullptr,
-          {0, "generate", "rag", "no-rag", failed->what, failed->site});
-      failed = run_guarded("generate", resilience_, resilience_rng_, result,
-                           [&] {
-                             generation = codegen_.generate(
-                                 task, prompt_index, /*use_rag=*/false);
-                           });
-    }
-    if (failed.has_value()) {
-      throw PipelineStageError("generate", failed->site, result.stage_retries,
-                               failed->what);
-    }
+    const auto failed = walk_ladder(
+        ladder(Stage::kGenerate), rag_rung, 0,
+        [&](std::size_t rung) {
+          return guarded(Stage::kGenerate, [&] {
+            generation = codegen_.generate(task, prompt_index, rung == 0);
+          });
+        },
+        note(nullptr));
+    if (failed.has_value()) throw stage_error(Stage::kGenerate, *failed);
   }
-  cancel::charge("pipeline.generate", resilience_.stage_costs.generate);
+  cancel::charge("pipeline.generate", kGenerateCost);
   const int max_passes = codegen_.config().max_passes;
-  // Verification pre-degraded to static-only once pressure crossed the
-  // threshold (recorded on the first pass it applies to, held after).
-  bool budget_static_only = false;
 
   // Lowered circuit of the previous pass and whether its repair carried
   // a preservation obligation — the inputs to repair certification.
@@ -267,29 +275,22 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
     StaticReport static_report;
     {
       qtrace::TraceSpan span("pipeline.analyze");
-      auto failed = run_guarded(
-          "analyze", resilience_, resilience_rng_, result,
-          [&] { static_report = analyzer_.analyze(generation.source); });
-      if (failed.has_value() && resilience_.degrade &&
-          analyzer_.options().analysis.abstract_lints) {
-        // Ladder: abstract interpretation down -> core lint passes only.
-        note_degradation(result, &trace,
-                         {pass, "analyze", "abstract-lints", "core-lints",
-                          failed->what, failed->site});
-        failed = run_guarded("analyze", resilience_, resilience_rng_, result,
-                             [&] {
-                               static_report =
-                                   degraded_analyzer().analyze(
-                                       generation.source);
-                             });
-      }
+      const auto failed = walk_ladder(
+          ladder(Stage::kAnalyze), analyze_rung, pass,
+          [&](std::size_t rung) {
+            const SemanticAnalyzerAgent& analyzer =
+                rung == 0 ? analyzer_ : core_lints_analyzer();
+            return guarded(Stage::kAnalyze, [&] {
+              static_report = analyzer.analyze(generation.source);
+            });
+          },
+          note(&trace));
       if (failed.has_value()) {
         result.trace.push_back(trace);
-        throw PipelineStageError("analyze", failed->site,
-                                 result.stage_retries, failed->what);
+        throw stage_error(Stage::kAnalyze, *failed);
       }
     }
-    cancel::charge("pipeline.analyze", resilience_.stage_costs.analyze);
+    cancel::charge("pipeline.analyze", kAnalyzeCost);
     trace.syntactic_ok = static_report.syntactic_ok;
     trace.error_trace = static_report.error_trace;
     trace.error_count = static_report.diagnostics.size();
@@ -302,106 +303,76 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
 
     bool semantic_ok = false;
     if (static_report.syntactic_ok) {
-      // Tight budget: pre-degrade behavioural verification to the
-      // static-only verdict before spending the remainder simulating.
-      if (!reference.empty() && !budget_static_only && resilience_.degrade &&
-          cancel::budget_pressure() >= resilience_.pressure_static_only) {
-        budget_static_only = true;
-        note_degradation(result, &trace,
-                         {pass, "verify", "behavioral", "static-only",
-                          "budget-pressure", ""});
-      }
-      if (reference.empty() || budget_static_only) {
-        // Static-only mode: semantic verdict mirrors syntactic.
-        semantic_ok = true;
-        trace.tvd = 0.0;
-      } else {
-        qtrace::TraceSpan span("pipeline.verify");
-        cancel::checkpoint("pipeline.verify");
-        BehaviorReport behavior;
-        auto failed = run_guarded("verify", resilience_, resilience_rng_,
-                                  result, [&] {
-                                    behavior = analyzer_.check_behavior(
-                                        *static_report.circuit, reference);
-                                  });
-        cancel::charge("pipeline.verify", resilience_.stage_costs.verify);
-        if (!failed.has_value()) {
-          semantic_ok = behavior.matches;
-          trace.tvd = behavior.tvd;
-        } else if (resilience_.degrade) {
-          // Ladder: behavioural verification down -> static-only verdict.
-          note_degradation(result, &trace,
-                           {pass, "verify", "behavioral", "static-only",
-                            failed->what, failed->site});
-          semantic_ok = true;
-          trace.tvd = 0.0;
-        } else {
-          result.trace.push_back(trace);
-          throw PipelineStageError("verify", failed->site,
-                                   result.stage_retries, failed->what);
+      if (verify.rung == 0) {
+        inputs.pressure = cancel::budget_pressure();
+        verify = start_rung(Stage::kVerify, inputs);
+        if (verify.cause == Cause::kPressure) {
+          note_degradation(result, &trace, pressure_step(Stage::kVerify, pass));
         }
       }
+      // The static-only rung cannot fail: its verdict mirrors syntactic.
+      walk_ladder(
+          ladder(Stage::kVerify), verify.rung, pass,
+          [&](std::size_t rung) -> std::optional<StageFailure> {
+            if (rung > 0) {
+              semantic_ok = true;
+              trace.tvd = 0.0;
+              return std::nullopt;
+            }
+            full_rung_ |= bit(Stage::kVerify);
+            qtrace::TraceSpan span("pipeline.verify");
+            cancel::checkpoint("pipeline.verify");
+            BehaviorReport behavior;
+            auto failed = guarded(Stage::kVerify, [&] {
+              behavior =
+                  analyzer_.check_behavior(*static_report.circuit, reference);
+            });
+            cancel::charge("pipeline.verify", kVerifyCost);
+            if (!failed.has_value()) {
+              semantic_ok = behavior.matches;
+              trace.tvd = behavior.tvd;
+            }
+            return failed;
+          },
+          note(&trace));
     }
     trace.semantic_ok = semantic_ok;
     result.trace.push_back(trace);
     result.passes_used = pass;
 
-    if (semantic_ok || pass == max_passes) {
-      result.syntactic_ok = trace.syntactic_ok;
-      result.semantic_ok = semantic_ok;
-      result.generation = generation;
-      if (static_report.circuit.has_value()) {
-        result.circuit = static_report.circuit;
-      }
-      final_resources = static_report.resources;
-      break;
+    if (!semantic_ok && pass < max_passes) {
+      // Feed the error trace back for the next inference pass.
+      prev_circuit = static_report.circuit;
+      prev_obligated =
+          repair_is_preservation_obligated(static_report.diagnostics);
+      qtrace::TraceSpan span("pipeline.repair");
+      qtrace::Metrics::counter("pipeline.repair_passes");
+      cancel::checkpoint("pipeline.repair");
+      const auto failed = walk_ladder(
+          ladder(Stage::kRepair), rag_rung, pass,
+          [&](std::size_t rung) {
+            auto failed = guarded(Stage::kRepair, [&] {
+              generation = codegen_.repair(
+                  task, generation, static_report.diagnostics,
+                  /*semantic_failure=*/static_report.syntactic_ok,
+                  prompt_index, pass, rung == 0);
+            });
+            // Charged once, after the first attempt.
+            if (rung == rag_rung) cancel::charge("pipeline.repair", kRepairCost);
+            return failed;
+          },
+          note(&result.trace.back()));
+      // Repair that gives up keeps this pass, like the last pass does.
+      if (!failed.has_value()) continue;
     }
-    // Feed the error trace back for the next inference pass.
-    prev_circuit = static_report.circuit;
-    prev_obligated = repair_is_preservation_obligated(static_report.diagnostics);
-    qtrace::TraceSpan span("pipeline.repair");
-    qtrace::Metrics::counter("pipeline.repair_passes");
-    cancel::checkpoint("pipeline.repair");
-    auto failed = run_guarded(
-        "repair", resilience_, resilience_rng_, result, [&] {
-          generation = codegen_.repair(
-              task, generation, static_report.diagnostics,
-              /*semantic_failure=*/static_report.syntactic_ok, prompt_index,
-              pass, rag_enabled_);
-        });
-    cancel::charge("pipeline.repair", resilience_.stage_costs.repair);
-    if (failed.has_value() && resilience_.degrade &&
-        rag_rung_applies(*failed)) {
-      note_degradation(
-          result, &result.trace.back(),
-          {pass, "repair", "rag", "no-rag", failed->what, failed->site});
-      failed = run_guarded("repair", resilience_, resilience_rng_, result,
-                           [&] {
-                             generation = codegen_.repair(
-                                 task, generation, static_report.diagnostics,
-                                 static_report.syntactic_ok, prompt_index,
-                                 pass, /*use_rag=*/false);
-                           });
+    result.syntactic_ok = trace.syntactic_ok;
+    result.semantic_ok = semantic_ok;
+    result.generation = generation;
+    if (static_report.circuit.has_value()) {
+      result.circuit = static_report.circuit;
     }
-    if (failed.has_value()) {
-      if (!resilience_.degrade) {
-        throw PipelineStageError("repair", failed->site, result.stage_retries,
-                                 failed->what);
-      }
-      // Terminal rung: repair unavailable — keep the best pass so far
-      // instead of failing the trial.
-      note_degradation(
-          result, &result.trace.back(),
-          {pass, "repair", "multi-pass", "abort", failed->what, failed->site});
-      result.syntactic_ok = trace.syntactic_ok;
-      result.semantic_ok = semantic_ok;
-      result.generation = generation;
-      if (static_report.circuit.has_value()) {
-        result.circuit = static_report.circuit;
-      }
-      final_resources = static_report.resources;
-      break;
-    }
+    final_resources = static_report.resources;
+    break;
   }
 
   qtrace::Metrics::counter("pipeline.trials");
@@ -409,50 +380,29 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   if (result.semantic_ok) qtrace::Metrics::counter("pipeline.semantic_ok");
   qtrace::Metrics::observe("pipeline.passes_used",
                           static_cast<double>(result.passes_used));
-  if (qec_agent_.has_value() && device_.has_value() && result.semantic_ok) {
+  if (qec_agent_.has_value() && device_.has_value() && result.semantic_ok &&
+      start_rung(Stage::kQec, inputs).rung == 0) {
+    full_rung_ |= bit(Stage::kQec);
     qtrace::TraceSpan span("pipeline.qec_plan");
-    // Ladder: configured decoder -> union-find -> lookup (distance 3
-    // only; the lookup decoder does not scale past it).
-    std::vector<qec::DecoderKind> ladder{qec_agent_->options().decoder};
-    const auto add_rung = [&](qec::DecoderKind kind) {
-      if (std::find(ladder.begin(), ladder.end(), kind) == ladder.end()) {
-        ladder.push_back(kind);
-      }
-    };
-    add_rung(qec::DecoderKind::kUnionFind);
-    if (qec_agent_->options().target_distance == 3) {
-      add_rung(qec::DecoderKind::kLookup);
-    }
-    const std::size_t rungs = resilience_.degrade ? ladder.size() : 1;
-    for (std::size_t rung = 0; rung < rungs; ++rung) {
-      cancel::checkpoint("pipeline.qec_plan");
-      std::optional<QecPlan> plan;
-      auto failed = run_guarded(
-          "qec", resilience_, resilience_rng_, result, [&] {
+    const Ladder decoders =
+        decoder_ladder(qec_agent_->options().decoder,
+                       qec_agent_->options().target_distance);
+    walk_ladder(
+        decoders, 0, result.passes_used,
+        [&](std::size_t rung) {
+          cancel::checkpoint("pipeline.qec_plan");
+          std::optional<QecPlan> plan;
+          auto failed = guarded(Stage::kQec, [&] {
             failpoint::trip("qec.decode", result.passes_used);
             QecDecoderAgent::Options options = qec_agent_->options();
-            options.decoder = ladder[rung];
-            plan = QecDecoderAgent(options).plan_for(*device_,
-                                                     &final_resources);
+            options.decoder = decoders.decoders[rung];
+            plan = QecDecoderAgent(options).plan_for(*device_, &final_resources);
           });
-      if (!failed.has_value()) {
-        result.qec = std::move(plan);
-        break;
-      }
-      if (!resilience_.degrade) {
-        throw PipelineStageError("qec", failed->site, result.stage_retries,
-                                 failed->what);
-      }
-      const std::string next =
-          rung + 1 < ladder.size()
-              ? std::string(qec::decoder_kind_name(ladder[rung + 1]))
-              : "none";
-      note_degradation(result, nullptr,
-                       {result.passes_used, "qec",
-                        std::string(qec::decoder_kind_name(ladder[rung])),
-                        next, failed->what, failed->site});
-    }
-    cancel::charge("pipeline.qec_plan", resilience_.stage_costs.qec);
+          if (!failed.has_value()) result.qec = std::move(plan);
+          return failed;
+        },
+        note(nullptr));
+    cancel::charge("pipeline.qec_plan", kQecCost);
   }
 }
 

@@ -3,13 +3,14 @@
 // analysis -> iterative multi-pass repair -> optional QEC planning.
 //
 // The pipeline is the resilience boundary of the system: every stage
-// runs under ResilienceOptions, which give deterministic seeded
-// retry-with-backoff, per-stage budget limits, and graceful-degradation
-// ladders (abstract interpreter -> core lints only; MWPM decoder ->
-// union-find -> lookup; behavioural verification -> static-only;
-// RAG retrieval -> bare generation). Degradations are recorded as
-// DegradationEvents on the pass trace and the final result; a stage
-// that stays down after its ladder is exhausted raises
+// runs under ResilienceOptions (deterministic seeded retry-with-backoff
+// and per-stage budget limits) and on a rung of its degradation ladder.
+// Which rung each stage starts on, and where a failure steps it, is
+// decided by the degradation table (agents/degradation.hpp) from the
+// serving conditions (admission level, open breakers), the request's
+// budget pressure and whether a reference exists. Degradations are
+// recorded as DegradationEvents on the pass trace and the final result;
+// a stage that stays down after its ladder is exhausted raises
 // PipelineStageError, which the trial scheduler contains as a
 // TrialFailure instead of letting it abort the experiment.
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "agents/codegen_agent.hpp"
+#include "agents/degradation.hpp"
 #include "agents/qec_agent.hpp"
 #include "agents/semantic_agent.hpp"
 #include "agents/topology.hpp"
@@ -26,22 +28,9 @@
 
 namespace qcgen::agents {
 
-/// Virtual cost charged against the request's deadline budget
-/// (cancel::charge) as each stage completes, in the same abstract units
-/// injected delays and retry backoff already consume. Only meaningful
-/// when a serving layer installed a cancel::DeadlineBudget for the run;
-/// without one the charges are no-ops.
-struct StageCostModel {
-  double generate = 1.0;
-  double analyze = 0.5;
-  double verify = 0.75;
-  double repair = 1.0;
-  double qec = 1.5;
-};
-
-/// Resilient-execution policy for the pipeline stages. The defaults are
-/// fail-fast with ladders enabled, which is behaviour-identical to the
-/// pre-resilience pipeline as long as no stage actually fails.
+/// Retry and budget policy for the pipeline stages. The defaults are
+/// fail fast, which is behaviour-identical to the pre-resilience
+/// pipeline as long as no stage actually fails.
 struct ResilienceOptions {
   /// Retry attempts after a stage's first failure (0 = fail fast).
   int max_stage_retries = 0;
@@ -53,36 +42,13 @@ struct ResilienceOptions {
   /// Injected delays and retry backoff both consume it; exhausting it
   /// fails the stage.
   double stage_budget_units = 0.0;
-  /// Walk degradation ladders when retries are exhausted.
-  bool degrade = true;
-  /// Per-stage deadline-budget charges (see StageCostModel).
-  StageCostModel stage_costs;
-  /// Budget-pressure thresholds (cancel::budget_pressure, consumed /
-  /// deadline) above which the ladders pre-degrade *before* the stage
-  /// runs, spending the remaining budget on the cheap configuration
-  /// instead of burning it and hard-cancelling mid-flight: past
-  /// pressure_no_rag generate/repair drop RAG, past
-  /// pressure_static_only verification goes static-only. Only requests
-  /// with an installed deadline ever report pressure > 0.
-  double pressure_no_rag = 0.55;
-  double pressure_static_only = 0.8;
 };
 
-/// One rung taken on a degradation ladder (or a terminal "gave up"
-/// marker when `to` is "none"/"abort").
-struct DegradationEvent {
-  int pass = 0;        ///< repair pass it happened in (0 = outside loop)
-  std::string stage;   ///< "generate", "analyze", "verify", "repair",
-                       ///< "qec", "oracle"
-  std::string from;    ///< rung degraded from, e.g. "mwpm", "abstract-lints"
-  std::string to;      ///< rung degraded to, e.g. "union-find", "core-lints"
-  std::string reason;  ///< the failure that forced the step
-  /// Fail-point site of the failure that forced the step ("" for organic
-  /// failures and for budget-pressure pre-degradations). Circuit
-  /// breakers attribute per-site failures through this field.
-  std::string site;
-  friend bool operator==(const DegradationEvent&,
-                         const DegradationEvent&) = default;
+/// What the serving layer knows about a request before it runs; the
+/// degradation table turns it into the stages' starting rungs.
+struct ServeConditions {
+  AdmissionLevel admission = AdmissionLevel::kFull;
+  SiteSet open_sites = 0;  ///< sites whose circuit breaker is open
 };
 
 /// Raised when a mandatory stage stays down after retries and ladders
@@ -196,12 +162,11 @@ class MultiAgentPipeline {
     resilience_ = options;
   }
 
-  /// Admission-control hook (serve layer): pre-walks the first rung of
-  /// the generate/repair degradation ladder, so every generation and
-  /// repair in this pipeline bypasses the RAG stores — the same reduced
-  /// configuration a retrieval failure would degrade to at runtime.
-  void set_rag_enabled(bool enabled) noexcept { rag_enabled_ = enabled; }
-  bool rag_enabled() const noexcept { return rag_enabled_; }
+  /// Serving-layer inputs to the stages' starting rungs (the default
+  /// is an unloaded request with every breaker closed).
+  void set_conditions(ServeConditions conditions) noexcept {
+    conditions_ = conditions;
+  }
 
   /// Wires the serving caches through to the agents (the retrieval cache
   /// rides inside the shared TechniqueResources and needs no per-
@@ -227,15 +192,20 @@ class MultiAgentPipeline {
     return last_degradations_;
   }
 
+  /// The stages the most recent run() ran on their full rung (the
+  /// breaker's positive evidence; see vouched_sites).
+  StageSet full_rung_stages() const noexcept { return full_rung_; }
+
  private:
   /// run()'s body, writing into a caller-owned result so partial state
   /// (degradations in particular) survives a mid-run throw.
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
                 const sim::Distribution& reference, std::size_t prompt_index);
 
-  /// Analyzer with the abstract interpreter disabled — the "core lints
-  /// only" ladder rung; constructed lazily on first degradation.
-  const SemanticAnalyzerAgent& degraded_analyzer();
+  /// Analyzer with the abstract interpreter disabled — the analyze
+  /// stage's degraded rung; constructed lazily on first use unless the
+  /// configured analyzer already runs without it.
+  const SemanticAnalyzerAgent& core_lints_analyzer();
 
   CodeGenAgent codegen_;
   SemanticAnalyzerAgent analyzer_;
@@ -244,7 +214,8 @@ class MultiAgentPipeline {
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
   ResilienceOptions resilience_;
-  bool rag_enabled_ = true;  ///< admission pre-degradation (see setter)
+  ServeConditions conditions_;
+  StageSet full_rung_ = 0;  ///< see full_rung_stages()
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor
 };

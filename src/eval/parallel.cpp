@@ -94,15 +94,20 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
         .injector = oracle_injector ? &*oracle_injector : nullptr};
     for (std::size_t case_idx = 0; case_idx < suite.size(); ++case_idx) {
       const sim::Distribution* reference = &kEmptyReference;
-      const auto failure =
-          run_unit(trace::current_sink(), oracle_context, "oracle", [&] {
-            reference = &oracle.reference_for(suite[case_idx]);
+      agents::walk_ladder(
+          agents::ladder(agents::Stage::kOracle), 0, 0,
+          [&](std::size_t rung) -> std::optional<agents::StageFailure> {
+            if (rung > 0) return std::nullopt;  // keeps the empty reference
+            const auto failure = run_unit(
+                trace::current_sink(), oracle_context, "oracle",
+                [&] { reference = &oracle.reference_for(suite[case_idx]); });
+            if (!failure.has_value()) return std::nullopt;
+            // No breaker reads the oracle's step: it names no site.
+            return agents::StageFailure{"", failure->what};
+          },
+          [&](agents::DegradationEvent event) {
+            matrix.degradations.push_back({case_idx, 0, std::move(event)});
           });
-      if (failure.has_value()) {
-        matrix.degradations.push_back(
-            {case_idx, 0,
-             {0, "oracle", "reference", "static-only", failure->what, ""}});
-      }
       references.push_back(reference);
     }
   }

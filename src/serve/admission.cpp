@@ -56,18 +56,22 @@ AdmissionTicket AdmissionController::offer(std::uint64_t request_id,
   if (ticket.depth >= options_.static_only_depth) {
     ticket.level = AdmissionLevel::kStaticOnly;
     cost = options_.static_only_cost;
-    degradations_.push_back({request_id, arrival_vt, ticket.depth, "generate",
-                             "rag", "no-rag"});
-    degradations_.push_back({request_id, arrival_vt, ticket.depth, "verify",
-                             "behavioral", "static-only"});
   } else if (ticket.depth >= options_.no_rag_depth) {
     ticket.level = AdmissionLevel::kNoRag;
     cost = options_.no_rag_cost;
-    degradations_.push_back({request_id, arrival_vt, ticket.depth, "generate",
-                             "rag", "no-rag"});
   }
   if (ticket.level != AdmissionLevel::kFull) {
     trace::Metrics::counter("serve.admission_degradations");
+    // The rungs this level forces, in degradation-table order.
+    for (std::size_t i = 0; i < agents::kStageCount; ++i) {
+      const agents::StageRow& row =
+          agents::stage_row(static_cast<agents::Stage>(i));
+      if (row.admission.has_value() && ticket.level >= *row.admission) {
+        degradations_.push_back({request_id, arrival_vt, ticket.depth,
+                                 std::string(row.name), std::string(row.full),
+                                 std::string(row.degraded)});
+      }
+    }
   }
   ++admitted_[static_cast<std::size_t>(ticket.level)];
 

@@ -69,8 +69,9 @@ struct ShedEvent {
   friend bool operator==(const ShedEvent&, const ShedEvent&) = default;
 };
 
-/// One ladder rung pre-walked at admission time ("rag" -> "no-rag",
-/// "behavioral" -> "static-only"); a kStaticOnly admission records both.
+/// One stage start an admission level forces below its full rung (the
+/// degradation table's admission column); a kStaticOnly admission
+/// records both generate and verify.
 struct AdmissionDegradation {
   std::uint64_t request_id = 0;
   double arrival_vt = 0.0;

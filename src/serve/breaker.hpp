@@ -13,7 +13,7 @@
 //   * open       requests arriving within `cooldown_vt` virtual units of
 //                the opening short-circuit straight to the site's
 //                degraded path (no-rag, skip-QEC, static-only, or
-//                fail-fast — see Server for the site -> action map).
+//                fail-fast — see agents/degradation.hpp).
 //   * half-open  after the cooldown, a seeded per-(site, request-id)
 //                Bernoulli draw picks probe requests that exercise the
 //                real path; `half_open_successes` consecutive probe

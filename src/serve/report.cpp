@@ -155,7 +155,7 @@ LifecycleSummary LifecycleSummary::from(
     summary.breaker_probes += result.breaker_probes.size();
     for (const agents::DegradationEvent& event :
          result.pipeline.degradations) {
-      if (event.reason == "budget-pressure") {
+      if (event.reason == agents::kPressureReason) {
         ++summary.budget_pressure_degradations;
       }
     }

@@ -28,15 +28,9 @@ std::uint64_t request_seed(std::uint64_t seed, std::uint64_t request_id) noexcep
 
 /// Admission verdict for one request, decided at enqueue time from the
 /// deterministic virtual-time backlog (see AdmissionController). The
-/// degraded levels pre-walk the pipeline's existing resilience ladders:
-/// kNoRag forces the generate/repair rag -> no-rag rung, kStaticOnly
-/// additionally forces verify behavioral -> static-only.
-enum class AdmissionLevel {
-  kFull = 0,
-  kNoRag = 1,
-  kStaticOnly = 2,
-  kShed = 3,  ///< rejected with a structured shed event; never executed
-};
+/// degradation table (agents/degradation.hpp) lists the stage starts
+/// each degraded level forces.
+using AdmissionLevel = agents::AdmissionLevel;
 
 std::string_view admission_level_name(AdmissionLevel level) noexcept;
 

@@ -17,14 +17,6 @@ constexpr std::uint64_t kServeChaosSalt = 0x39d2f1b7a85c64e9ULL;
 
 const sim::Distribution kEmptyReference;
 
-/// Every fail-point site in the request path; the breaker board tracks
-/// all of them whether or not a chaos scenario mentions them (organic
-/// failures attribute sites too, via PipelineStageError::site).
-const std::vector<std::string> kBreakerSites = {
-    "analyzer.abstract", "analyzer.parse",   "analyzer.simulate",
-    "llm.generate",      "oracle.reference", "pool.task",
-    "qec.decode",        "retrieval.query"};
-
 /// The sites this request failed at, for the breaker event log: the
 /// terminal failure site (kFailed only) plus every site that forced a
 /// degradation-ladder step (completed-with-degradations requests carry
@@ -41,57 +33,6 @@ std::vector<std::string> failed_sites_of(const RequestResult& result) {
   std::sort(sites.begin(), sites.end());
   sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
   return sites;
-}
-
-/// The sites a completed request demonstrably exercised without
-/// incident — the breaker's *positive* evidence. Sites in neither this
-/// list nor failed_sites are no-signal: a request that skipped a stage
-/// (static-only verify, semantic failure before QEC, rag off) says
-/// nothing about that site's health. oracle.reference never appears:
-/// the catalog is prewarmed at construction, so serving requests only
-/// ever do the const cache lookup.
-std::vector<std::string> succeeded_sites_of(
-    const RequestResult& result, const agents::MultiAgentPipeline* pipeline,
-    const agents::TechniqueConfig& technique, bool behavioral,
-    bool have_reference, bool abstract_lints, bool qec_ran,
-    const std::vector<std::string>& failed_sites) {
-  std::vector<std::string> sites;
-  if (result.outcome != RequestOutcome::kCompleted || pipeline == nullptr) {
-    return sites;  // an abort vouches for nothing
-  }
-  // Stages every completed pipeline run exercises.
-  sites = {"analyzer.parse", "llm.generate", "pool.task"};
-  if (abstract_lints && result.pipeline.syntactic_ok) {
-    sites.push_back("analyzer.abstract");
-  }
-  if (pipeline->rag_enabled() && (technique.rag_api || technique.rag_guides)) {
-    sites.push_back("retrieval.query");
-  }
-  bool verify_degraded = false;
-  bool qec_degraded = false;
-  for (const agents::DegradationEvent& event : result.pipeline.degradations) {
-    if (event.stage == "verify") verify_degraded = true;
-    if (event.stage == "qec") qec_degraded = true;
-  }
-  bool any_syntactic_pass = false;
-  for (const agents::PassTrace& pass : result.pipeline.trace) {
-    if (pass.syntactic_ok) any_syntactic_pass = true;
-  }
-  if (behavioral && have_reference && any_syntactic_pass && !verify_degraded) {
-    sites.push_back("analyzer.simulate");
-  }
-  if (qec_ran && !qec_degraded) sites.push_back("qec.decode");
-  std::sort(sites.begin(), sites.end());
-  // A site cannot be evidence for and against at once: failures win.
-  std::vector<std::string> filtered;
-  filtered.reserve(sites.size());
-  for (std::string& site : sites) {
-    if (std::find(failed_sites.begin(), failed_sites.end(), site) ==
-        failed_sites.end()) {
-      filtered.push_back(std::move(site));
-    }
-  }
-  return filtered;
 }
 
 /// The lifecycle outcome of a request whose body threw.
@@ -143,7 +84,8 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   if (options_.breaker.enabled) {
     BreakerOptions breaker_options = options_.breaker;
     if (breaker_options.seed == 0) breaker_options.seed = options_.seed;
-    breaker_ = std::make_unique<BreakerBoard>(breaker_options, kBreakerSites);
+    breaker_ = std::make_unique<BreakerBoard>(breaker_options,
+                                              agents::breaker_sites());
   }
   // Prewarm makes reference_for read-only for catalog cases, so worker
   // threads can look references up concurrently; the prompt index fixes
@@ -298,109 +240,68 @@ RequestResult Server::run_request(const Request& request,
   // Outlives the body so an aborted run's partial degradation ladder (the
   // request's per-site fault evidence) can be salvaged below.
   std::optional<agents::MultiAgentPipeline> pipeline;
-  // Exercise accounting for the breaker's positive evidence (see
-  // succeeded_sites_of): which optional stages this request's
-  // configuration actually ran.
-  bool behavioral = false;
-  bool have_reference = false;
-  bool abstract_lints = false;
-  bool qec_ran = false;
   const auto body = [&] {
     // Born-cancelled requests resolve here, before the breaker gate —
     // they never block on (or contribute signal to) the event log.
     cancel::checkpoint("serve.request");
 
     // Breaker verdicts at this request's virtual arrival. Open sites
-    // short-circuit to their degraded path; half-open probes run the
-    // real path and their outcome drives the close / re-open edge.
-    std::map<std::string, BreakerDecision> verdicts;
-    if (breaker_ != nullptr) verdicts = breaker_->decide(request.id);
-    const auto short_circuited = [&](const char* site) {
-      const auto it = verdicts.find(site);
-      return it != verdicts.end() && it->second.short_circuit;
-    };
-    for (const auto& [site, verdict] : verdicts) {
-      if (verdict.short_circuit) result.breaker_short_circuits.push_back(site);
-      if (verdict.probing) result.breaker_probes.push_back(site);
-    }
-    // Sites with no cheaper rung to fall back to fail fast while open:
-    // a structured kFailed beats burning deadline budget on a path that
-    // has been failing persistently.
-    std::string fail_fast_site;
-    for (const char* site : {"llm.generate", "analyzer.parse", "pool.task"}) {
-      if (short_circuited(site)) {
-        fail_fast_site = site;
-        break;
+    // start their stage degraded (or fail fast); half-open probes run
+    // the real path and their outcome drives the close / re-open edge.
+    agents::ServeConditions conditions{.admission = ticket.level};
+    if (breaker_ != nullptr) {
+      for (const auto& [site, verdict] : breaker_->decide(request.id)) {
+        if (verdict.short_circuit) {
+          result.breaker_short_circuits.push_back(site);
+          conditions.open_sites |= agents::bit(*agents::find_site(site));
+        }
+        if (verdict.probing) result.breaker_probes.push_back(site);
       }
     }
 
-    // Static-only admissions verify against an empty reference; so do
-    // requests for cases outside the prewarmed catalog (only the const
-    // cache lookup is worker-safe — reference_for would lazily compile
-    // the gold program, a mutation we must not race across workers) and
-    // requests whose behavioural-verification dependencies
-    // (analyzer.simulate / oracle.reference) have an open breaker.
-    behavioral = ticket.level != AdmissionLevel::kStaticOnly &&
-                 !short_circuited("analyzer.simulate") &&
-                 !short_circuited("oracle.reference");
+    // Cases outside the prewarmed catalog verify static-only: only the
+    // const cache lookup is worker-safe (reference_for would lazily
+    // compile the gold program, a mutation we must not race across
+    // workers).
     const sim::Distribution* reference = &kEmptyReference;
     std::size_t prompt_index = prompt_index_.size();
     if (const auto found = prompt_index_.find(request.test_case.id);
         found != prompt_index_.end()) {
       prompt_index = found->second;
-      if (behavioral) {
-        if (const sim::Distribution* cached =
-                oracle_.find(request.test_case.id)) {
-          reference = cached;
-        }
+      if (const sim::Distribution* cached =
+              oracle_.find(request.test_case.id)) {
+        reference = cached;
       }
     }
-    have_reference = !reference->empty();
 
-    if (!fail_fast_site.empty()) {
+    // A persistently failing site with no cheaper rung fails fast: a
+    // structured kFailed beats burning deadline budget on it.
+    if (const auto site = agents::fail_fast_site(conditions.open_sites)) {
+      const std::string name(agents::site_name(*site));
       result.outcome = RequestOutcome::kFailed;
       result.failure_stage = "request";
-      result.failure_site = fail_fast_site;
-      result.failure_what = "circuit breaker open at " + fail_fast_site;
+      result.failure_site = name;
+      result.failure_what = "circuit breaker open at " + name;
       trace::Metrics::counter("breaker.fail_fast");
       trace::Metrics::counter("serve.request_failures");
-    } else {
-      failpoint::trip("pool.task");
-      // An open qec.decode breaker short-circuits to the "skip QEC
-      // planning" rung; an open analyzer.abstract one pre-walks the
-      // analyzer ladder to core lints only.
-      agents::SemanticAnalyzerAgent::Options analyzer = options_.analyzer;
-      if (short_circuited("analyzer.abstract")) {
-        analyzer.analysis.abstract_lints = false;
-      }
-      abstract_lints = analyzer.analysis.abstract_lints;
-      const bool qec_enabled =
-          request.options.qec && !short_circuited("qec.decode");
-      pipeline.emplace(options_.technique, resources_, analyzer,
-                       qec_enabled ? options_.qec : std::nullopt,
-                       options_.device,
-                       request_seed(options_.seed, request.id));
-      pipeline->set_resilience(options_.resilience);
-      if (options_.cache.enabled) {
-        // bypass mode leaves both pointers null: the same content-
-        // addressed computes run, nothing is memoized.
-        pipeline->set_caches({true, generation_cache_, analysis_cache_});
-      }
-      // Admission pre-walks the generate/repair ladder's first rung; an
-      // open retrieval.query breaker forces the same rung.
-      if (ticket.level != AdmissionLevel::kFull ||
-          short_circuited("retrieval.query")) {
-        pipeline->set_rag_enabled(false);
-      }
-      result.pipeline =
-          pipeline->run(request.test_case.task, *reference, prompt_index);
-      // The QEC stage only runs after a semantically-verified pass (the
-      // same condition the pipeline gates on).
-      qec_ran = qec_enabled && options_.qec.has_value() &&
-                options_.device.has_value() && result.pipeline.semantic_ok;
-      result.outcome = RequestOutcome::kCompleted;
-      trace::Metrics::counter("serve.completed");
+      return;
     }
+    failpoint::trip("pool.task");
+    pipeline.emplace(options_.technique, resources_, options_.analyzer,
+                     request.options.qec ? options_.qec : std::nullopt,
+                     options_.device,
+                     request_seed(options_.seed, request.id));
+    pipeline->set_resilience(options_.resilience);
+    if (options_.cache.enabled) {
+      // bypass mode leaves both pointers null: the same content-
+      // addressed computes run, nothing is memoized.
+      pipeline->set_caches({true, generation_cache_, analysis_cache_});
+    }
+    pipeline->set_conditions(conditions);
+    result.pipeline =
+        pipeline->run(request.test_case.task, *reference, prompt_index);
+    result.outcome = RequestOutcome::kCompleted;
+    trace::Metrics::counter("serve.completed");
   };
   const auto count_failure = [](const eval::UnitFailure& failure) {
     const RequestOutcome outcome = outcome_of(failure);
@@ -428,12 +329,15 @@ RequestResult Server::run_request(const Request& request,
   // Every registered request reports exactly once, on every outcome
   // path — the decide() gate of later-arriving requests depends on it.
   if (breaker_ != nullptr) {
+    // Positive evidence: the sites a completed request demonstrably
+    // exercised without incident. An abort vouches for nothing.
     const std::vector<std::string> failed = failed_sites_of(result);
     breaker_->report(
         request.id, failed,
-        succeeded_sites_of(result, pipeline.has_value() ? &*pipeline : nullptr,
-                           options_.technique, behavioral, have_reference,
-                           abstract_lints, qec_ran, failed));
+        result.outcome == RequestOutcome::kCompleted
+            ? agents::vouched_sites(result.pipeline,
+                                    pipeline->full_rung_stages(), failed)
+            : std::vector<std::string>{});
   }
   return result;
 }

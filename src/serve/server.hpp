@@ -15,9 +15,10 @@
 // Each request executes on its own cheap per-request pipeline seeded by
 // request_seed(seed, id), so any interleaving of worker execution — any
 // --threads value, any enqueue order — yields bit-identical per-request
-// results. Admission degradations pre-walk the pipeline's resilience
-// ladders (rag -> no-rag via MultiAgentPipeline::set_rag_enabled;
-// behavioural -> static-only verification via an empty reference), and
+// results. The request's admission level and the sites whose breaker is
+// open at its arrival are handed to the pipeline
+// (MultiAgentPipeline::set_conditions), where the degradation table
+// (agents/degradation.hpp) turns them into each stage's starting rung;
 // sheds resolve the request future immediately with a structured
 // RequestOutcome::kShed.
 

@@ -10,6 +10,8 @@
 // decisions were gathered into one table, so any refactor of that table
 // that swaps a rung, drops a breaker mapping or moves a threshold fails
 // here even when every aggregate count in the bench goldens survives.
+// The DegradationTable tests check the table's pure start decision and
+// its ladders directly, with no server and no chaos.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "agents/degradation.hpp"
 #include "agents/pipeline.hpp"
 #include "common/cancel.hpp"
 #include "common/request_context.hpp"
@@ -259,6 +262,11 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
       "analyzer.abstract", "analyzer.parse",   "analyzer.simulate",
       "llm.generate",      "oracle.reference", "pool.task",
       "qec.decode",        "retrieval.query"};
+  ASSERT_EQ(std::set<std::string>(sites.begin(), sites.end()),
+            [] {
+              const auto names = agents::breaker_sites();
+              return std::set<std::string>(names.begin(), names.end());
+            }());
   for (const std::string& site : sites) {
     for (const char* probability : {"0.5", "1.0"}) {
       const std::string chaos = site + "=error(" + probability + ")";
@@ -294,20 +302,31 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
     run_pressured(pressure, out);
   }
 
-  // Every rung step the ladders can take must have been reached, or a
-  // scenario silently stopped exercising it.
-  const std::set<StepKey> expected = {
-      {"analyze", "abstract-lints", "core-lints"},
-      {"generate", "rag", "no-rag"},
-      {"oracle", "reference", "static-only"},
-      {"qec", "lookup", "none"},
-      {"qec", "mwpm", "union-find"},
-      {"qec", "union-find", "lookup"},
-      {"qec", "union-find", "none"},
-      {"repair", "multi-pass", "abort"},
-      {"repair", "rag", "no-rag"},
-      {"verify", "behavioral", "static-only"},
+  // Every step the table's ladders can take must have been reached, or
+  // a scenario silently stopped exercising it.
+  std::set<StepKey> expected;
+  const auto add_ladder = [&](const agents::Ladder& ladder) {
+    const agents::StageFailure failure{"", ""};
+    for (std::size_t rung = 0; rung < ladder.size; ++rung) {
+      bool next = false;
+      if (const auto step =
+              agents::failure_step(ladder, rung, 0, failure, next)) {
+        expected.emplace(step->stage, step->from, step->to);
+      }
+    }
   };
+  for (const agents::Stage stage :
+       {agents::Stage::kGenerate, agents::Stage::kRepair,
+        agents::Stage::kAnalyze, agents::Stage::kVerify,
+        agents::Stage::kOracle}) {
+    add_ladder(agents::ladder(stage));
+  }
+  for (const int distance : {3, 5}) {
+    for (const qec::DecoderKind decoder :
+         {qec::DecoderKind::kMwpm, qec::DecoderKind::kUnionFind}) {
+      add_ladder(agents::decoder_ladder(decoder, distance));
+    }
+  }
   for (const StepKey& step : expected) {
     EXPECT_TRUE(out.steps.count(step))
         << std::get<0>(step) << ": " << std::get<1>(step) << " -> "
@@ -320,7 +339,7 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
   }
   // Every breaker site a served request can exercise must have opened
   // (oracle.reference is prewarmed at construction, never per request).
-  for (const std::string& site : sites) {
+  for (const std::string& site : agents::breaker_sites()) {
     if (site == "oracle.reference") continue;
     EXPECT_TRUE(out.short_circuits.count(site)) << site << " never opened";
   }
@@ -328,3 +347,181 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
 }
 
 #endif  // QCGEN_FAILPOINTS_ENABLED
+
+// ---------------------------------------------------------------------------
+// The pure start decision, against a restatement of the table written
+// out by hand: every admission level x every set of open breaker sites x
+// pressure below, at and between the thresholds x with and without a
+// reference.
+
+namespace {
+
+using agents::AdmissionLevel;
+using agents::Cause;
+using agents::Site;
+using agents::Stage;
+using agents::Start;
+
+bool open(agents::SiteSet sites, Site site) {
+  return (sites & agents::bit(site)) != 0;
+}
+
+Start expected_start(Stage stage, AdmissionLevel admission,
+                     agents::SiteSet sites, double pressure,
+                     bool has_reference) {
+  const Start degraded_by_breaker{1, Cause::kBreaker};
+  switch (stage) {
+    case Stage::kGenerate:
+    case Stage::kRepair:
+      if (admission >= AdmissionLevel::kNoRag) return {1, Cause::kAdmission};
+      if (open(sites, Site::kRetrievalQuery)) return degraded_by_breaker;
+      if (pressure >= 0.55) return {1, Cause::kPressure};
+      return {};
+    case Stage::kAnalyze:
+      if (open(sites, Site::kAnalyzerAbstract)) return degraded_by_breaker;
+      return {};
+    case Stage::kVerify:
+      if (!has_reference) return {1, Cause::kNoReference};
+      if (admission >= AdmissionLevel::kStaticOnly) {
+        return {1, Cause::kAdmission};
+      }
+      if (open(sites, Site::kAnalyzerSimulate) ||
+          open(sites, Site::kOracleReference)) {
+        return degraded_by_breaker;
+      }
+      if (pressure >= 0.8) return {1, Cause::kPressure};
+      return {};
+    case Stage::kQec:
+      if (open(sites, Site::kQecDecode)) return degraded_by_breaker;
+      return {};
+    case Stage::kOracle:
+      return {};
+  }
+  return {};
+}
+
+}  // namespace
+
+TEST(DegradationTable, StartRungMatchesTheTableForEveryInput) {
+  const std::vector<AdmissionLevel> levels = {
+      AdmissionLevel::kFull, AdmissionLevel::kNoRag,
+      AdmissionLevel::kStaticOnly, AdmissionLevel::kShed};
+  const std::vector<double> pressures = {0.0, 0.3, 0.5499, 0.55, 0.7,
+                                         0.7999, 0.8, 0.95, 1.0};
+  for (const AdmissionLevel admission : levels) {
+    for (agents::SiteSet sites = 0; sites < (1U << agents::kSiteCount);
+         ++sites) {
+      for (const double pressure : pressures) {
+        for (const bool has_reference : {true, false}) {
+          const agents::StartInputs inputs{admission, sites, pressure,
+                                           has_reference};
+          for (std::size_t i = 0; i < agents::kStageCount; ++i) {
+            const auto stage = static_cast<Stage>(i);
+            const Start want = expected_start(stage, admission, sites,
+                                              pressure, has_reference);
+            const Start got = agents::start_rung(stage, inputs);
+            ASSERT_EQ(got, want)
+                << "stage " << agents::stage_row(stage).name << " admission "
+                << static_cast<int>(admission) << " sites " << sites
+                << " pressure " << pressure << " reference "
+                << has_reference << ": got rung " << got.rung << " cause "
+                << static_cast<int>(got.cause);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DegradationTable, RungNamesAndTerminalSteps) {
+  const auto names = [](const agents::Ladder& ladder) {
+    return std::vector<std::string>(ladder.rungs.begin(),
+                                    ladder.rungs.begin() + ladder.size);
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(names(agents::ladder(Stage::kGenerate)), (Names{"rag", "no-rag"}));
+  EXPECT_EQ(names(agents::ladder(Stage::kRepair)), (Names{"rag", "no-rag"}));
+  EXPECT_EQ(names(agents::ladder(Stage::kAnalyze)),
+            (Names{"abstract-lints", "core-lints"}));
+  EXPECT_EQ(names(agents::ladder(Stage::kVerify)),
+            (Names{"behavioral", "static-only"}));
+  EXPECT_EQ(names(agents::ladder(Stage::kOracle)),
+            (Names{"reference", "static-only"}));
+  EXPECT_EQ(names(agents::decoder_ladder(qec::DecoderKind::kMwpm, 3)),
+            (Names{"mwpm", "union-find", "lookup"}));
+  EXPECT_EQ(names(agents::decoder_ladder(qec::DecoderKind::kMwpm, 5)),
+            (Names{"mwpm", "union-find"}));
+  EXPECT_EQ(names(agents::decoder_ladder(qec::DecoderKind::kUnionFind, 3)),
+            (Names{"union-find", "lookup"}));
+  EXPECT_EQ(names(agents::decoder_ladder(qec::DecoderKind::kLookup, 3)),
+            (Names{"lookup", "union-find"}));
+  EXPECT_EQ(names(agents::decoder_ladder(qec::DecoderKind::kUnionFind, 5)),
+            (Names{"union-find"}));
+
+  // RAG stages step only on retrieval or organic failures; a model fault
+  // recurs without RAG. Generate then fails; repair gives up.
+  const agents::StageFailure model{"llm.generate", "boom"};
+  const agents::StageFailure retrieval{"retrieval.query", "boom"};
+  bool next = true;
+  EXPECT_FALSE(agents::failure_step(agents::ladder(Stage::kGenerate), 0, 0,
+                                    model, next)
+                   .has_value());
+  EXPECT_FALSE(next);
+  auto step = agents::failure_step(agents::ladder(Stage::kGenerate), 0, 0,
+                                   retrieval, next);
+  ASSERT_TRUE(step.has_value());
+  EXPECT_TRUE(next);
+  EXPECT_EQ(step->to, "no-rag");
+  EXPECT_EQ(step->site, "retrieval.query");
+  step = agents::failure_step(agents::ladder(Stage::kRepair), 0, 2, model,
+                              next);
+  ASSERT_TRUE(step.has_value());
+  EXPECT_FALSE(next);
+  EXPECT_EQ(step->pass, 2);
+  EXPECT_EQ(step->from, "multi-pass");
+  EXPECT_EQ(step->to, "abort");
+  step = agents::failure_step(
+      agents::decoder_ladder(qec::DecoderKind::kMwpm, 5), 1, 1, model, next);
+  ASSERT_TRUE(step.has_value());
+  EXPECT_FALSE(next);
+  EXPECT_EQ(step->from, "union-find");
+  EXPECT_EQ(step->to, "none");
+  EXPECT_FALSE(agents::failure_step(agents::ladder(Stage::kAnalyze), 1, 1,
+                                    model, next)
+                   .has_value());
+  EXPECT_FALSE(next);
+
+  const agents::DegradationEvent pressure =
+      agents::pressure_step(Stage::kVerify, 3);
+  EXPECT_EQ(pressure, (agents::DegradationEvent{3, "verify", "behavioral",
+                                                "static-only",
+                                                "budget-pressure", ""}));
+}
+
+TEST(DegradationTable, FailFastSitesAndBreakerSites) {
+  EXPECT_FALSE(agents::fail_fast_site(0).has_value());
+  // Sites with a cheaper rung never fail fast.
+  agents::SiteSet degradable = 0;
+  for (const Site site :
+       {Site::kRetrievalQuery, Site::kAnalyzerAbstract,
+        Site::kAnalyzerSimulate, Site::kOracleReference, Site::kQecDecode}) {
+    degradable |= agents::bit(site);
+  }
+  EXPECT_FALSE(agents::fail_fast_site(degradable).has_value());
+  // The rest are named in the order llm.generate, analyzer.parse,
+  // pool.task.
+  EXPECT_EQ(agents::fail_fast_site(agents::bit(Site::kPoolTask) |
+                                   agents::bit(Site::kAnalyzerParse)),
+            Site::kAnalyzerParse);
+  EXPECT_EQ(agents::fail_fast_site(agents::bit(Site::kPoolTask) |
+                                   agents::bit(Site::kLlmGenerate) |
+                                   degradable),
+            Site::kLlmGenerate);
+  EXPECT_EQ(agents::fail_fast_site(agents::bit(Site::kPoolTask)),
+            Site::kPoolTask);
+  for (std::size_t i = 0; i < agents::kSiteCount; ++i) {
+    const auto site = static_cast<Site>(i);
+    EXPECT_EQ(agents::find_site(agents::site_name(site)), site);
+  }
+  EXPECT_FALSE(agents::find_site("serve.drain").has_value());
+}
