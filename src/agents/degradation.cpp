@@ -25,13 +25,16 @@ constexpr std::array<StageRow, kStageCount> kStages = {{
     {"oracle", "reference", "static-only", kNever, kNever, false, "", "", ""},
 }};
 
-/// How a completed run vouches for a site (anything else: no-signal).
+/// How a completed run vouches for a site (anything else is no-signal):
+/// every completed run exercised it; its stage ran on the full rung; ...
+/// and the final pass parsed; ... and the stage took no ladder step; never.
 enum class Evidence { kCompleted, kRan, kRanParsed, kRanClean, kNever };
 
 struct SiteRow {
   std::string_view name;
-  std::optional<Stage> forces;  ///< started degraded while open; none: fail fast
-  Evidence evidence;  ///< kRan*: its stage ran on the full rung (and ...)
+  /// The stage an open breaker starts degraded; none: fail fast.
+  std::optional<Stage> forces;
+  Evidence evidence;
 };
 
 // Indexed by Site.

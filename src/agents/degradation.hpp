@@ -142,15 +142,15 @@ template <class Attempt, class Note>
 std::optional<StageFailure> walk_ladder(const Ladder& ladder,
                                         std::size_t rung, int pass,
                                         Attempt&& attempt, Note&& note) {
-  for (bool next = true; next; ++rung) {
+  for (;; ++rung) {
     std::optional<StageFailure> failed = attempt(rung);
     if (!failed.has_value()) return failed;
+    bool next = false;
     if (auto event = failure_step(ladder, rung, pass, *failed, next)) {
       note(std::move(*event));
     }
     if (!next) return failed;
   }
-  return std::nullopt;
 }
 
 /// The breaker sites a completed run vouches for, sorted by name:

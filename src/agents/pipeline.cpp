@@ -94,13 +94,6 @@ std::optional<StageFailure> run_guarded(Stage stage,
   }
 }
 
-void note_degradation(PipelineResult& result, PassTrace* pass_trace,
-                      DegradationEvent event) {
-  qtrace::Metrics::counter("resilience.degradations");
-  if (pass_trace != nullptr) pass_trace->degradations.push_back(event);
-  result.degradations.push_back(std::move(event));
-}
-
 /// True when every diagnostic the repair was asked to fix carries a
 /// preservation claim — only then is a behaviour change a defect rather
 /// than the point of the repair.
@@ -209,10 +202,9 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   const auto guarded = [&](Stage stage, const std::function<void()>& body) {
     return run_guarded(stage, resilience_, resilience_rng_, result, body);
   };
-  const auto note = [&](PassTrace* pass_trace) {
-    return [&result, pass_trace](DegradationEvent event) {
-      note_degradation(result, pass_trace, std::move(event));
-    };
+  const auto note = [&](DegradationEvent event) {
+    qtrace::Metrics::counter("resilience.degradations");
+    result.degradations.push_back(std::move(event));
   };
   const auto stage_error = [&](Stage stage, const StageFailure& failure) {
     return PipelineStageError(std::string(stage_row(stage).name), failure.site,
@@ -230,7 +222,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
     inputs.pressure = cancel::budget_pressure();
     const Start start = start_rung(Stage::kGenerate, inputs);
     if (start.cause == Cause::kPressure) {
-      note_degradation(result, nullptr, pressure_step(Stage::kGenerate, 0));
+      note(pressure_step(Stage::kGenerate, 0));
     }
     rag_rung = start.rung;
     if (rag_rung == 0) full_rung_ |= bit(Stage::kGenerate);
@@ -254,7 +246,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
             generation = codegen_.generate(task, prompt_index, rung == 0);
           });
         },
-        note(nullptr));
+        note);
     if (failed.has_value()) throw stage_error(Stage::kGenerate, *failed);
   }
   cancel::charge("pipeline.generate", kGenerateCost);
@@ -284,7 +276,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
               static_report = analyzer.analyze(generation.source);
             });
           },
-          note(&trace));
+          note);
       if (failed.has_value()) {
         result.trace.push_back(trace);
         throw stage_error(Stage::kAnalyze, *failed);
@@ -307,7 +299,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
         inputs.pressure = cancel::budget_pressure();
         verify = start_rung(Stage::kVerify, inputs);
         if (verify.cause == Cause::kPressure) {
-          note_degradation(result, &trace, pressure_step(Stage::kVerify, pass));
+          note(pressure_step(Stage::kVerify, pass));
         }
       }
       // The static-only rung cannot fail: its verdict mirrors syntactic.
@@ -334,7 +326,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
             }
             return failed;
           },
-          note(&trace));
+          note);
     }
     trace.semantic_ok = semantic_ok;
     result.trace.push_back(trace);
@@ -358,10 +350,12 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
                   prompt_index, pass, rung == 0);
             });
             // Charged once, after the first attempt.
-            if (rung == rag_rung) cancel::charge("pipeline.repair", kRepairCost);
+            if (rung == rag_rung) {
+              cancel::charge("pipeline.repair", kRepairCost);
+            }
             return failed;
           },
-          note(&result.trace.back()));
+          note);
       // Repair that gives up keeps this pass, like the last pass does.
       if (!failed.has_value()) continue;
     }
@@ -396,12 +390,13 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
             failpoint::trip("qec.decode", result.passes_used);
             QecDecoderAgent::Options options = qec_agent_->options();
             options.decoder = decoders.decoders[rung];
-            plan = QecDecoderAgent(options).plan_for(*device_, &final_resources);
+            plan =
+                QecDecoderAgent(options).plan_for(*device_, &final_resources);
           });
           if (!failed.has_value()) result.qec = std::move(plan);
           return failed;
         },
-        note(nullptr));
+        note);
     cancel::charge("pipeline.qec_plan", kQecCost);
   }
 }

@@ -85,8 +85,6 @@ struct PassTrace {
   /// facts), so eval/bench tooling can classify without string-scraping;
   /// serialise with qasm::diagnostics_to_json.
   std::vector<qasm::Diagnostic> diagnostics;
-  /// Degradation-ladder steps taken during this pass.
-  std::vector<DegradationEvent> degradations;
   /// Translation-validation certificate for the repair step that produced
   /// this pass's source (verify::certificate_summary rendering; empty on
   /// pass 1 or when either side of the rewrite does not lower).
@@ -106,8 +104,8 @@ struct PipelineResult {
   llm::GenerationResult generation;  ///< final artifact
   std::optional<sim::Circuit> circuit;
   std::optional<QecPlan> qec;
-  /// Every degradation-ladder step taken, in occurrence order (the
-  /// per-pass subset also appears on the matching PassTrace).
+  /// Every degradation-ladder step taken, in occurrence order (each
+  /// carries the repair pass it happened in).
   std::vector<DegradationEvent> degradations;
   /// Total stage retry attempts spent across the run.
   int stage_retries = 0;

@@ -96,7 +96,8 @@ const std::vector<eval::TestCase>& cases() {
 }
 
 agents::TechniqueConfig technique() {
-  auto config = agents::TechniqueConfig::with_rag(llm::ModelProfile::kStarCoder3B);
+  auto config =
+      agents::TechniqueConfig::with_rag(llm::ModelProfile::kStarCoder3B);
   config.max_passes = 3;
   return config;
 }
