@@ -67,10 +67,16 @@ std::optional<Site> find_site(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-std::vector<std::string> breaker_sites() {
-  std::vector<std::string> names;
-  for (const SiteRow& row : kSites) names.emplace_back(row.name);
-  return names;
+const std::array<Site, kSiteCount>& sites_by_name() noexcept {
+  static const std::array<Site, kSiteCount> sorted = [] {
+    std::array<Site, kSiteCount> sites{};
+    for (std::size_t i = 0; i < kSiteCount; ++i) sites[i] = Site(i);
+    std::sort(sites.begin(), sites.end(), [](Site a, Site b) {
+      return site_name(a) < site_name(b);
+    });
+    return sites;
+  }();
+  return sorted;
 }
 
 Start start_rung(Stage stage, const StartInputs& inputs) noexcept {
@@ -143,30 +149,34 @@ std::optional<DegradationEvent> failure_step(const Ladder& ladder,
                           std::string(to), failure.what, failure.site};
 }
 
-std::vector<std::string> vouched_sites(const PipelineResult& result,
-                                       StageSet full_rung,
-                                       const std::vector<std::string>& failed) {
-  std::vector<std::string> sites;
-  for (const SiteRow& row : kSites) {
-    const bool ran = row.forces.has_value() && (full_rung & bit(*row.forces));
+SiteEvidence site_evidence(const PipelineResult& result,
+                           std::string_view failure_site,
+                           std::optional<StageSet> full_rung) {
+  SiteEvidence evidence;
+  const auto fail = [&](std::string_view name) {
+    if (const auto site = find_site(name)) evidence.failed |= bit(*site);
+  };
+  fail(failure_site);
+  for (const DegradationEvent& event : result.degradations) fail(event.site);
+  if (!full_rung.has_value()) return evidence;
+  for (std::size_t i = 0; i < kSiteCount; ++i) {
+    const SiteRow& row = kSites[i];
+    const bool ran = row.forces.has_value() && (*full_rung & bit(*row.forces));
     const auto stepped = [&] {
       return std::any_of(result.degradations.begin(), result.degradations.end(),
                          [&](const DegradationEvent& event) {
                            return event.stage == stage_row(*row.forces).name;
                          });
     };
-    if (std::find(failed.begin(), failed.end(), row.name) != failed.end()) {
-      continue;  // failures win
-    }
     if (row.evidence == Evidence::kCompleted ||
         (ran && row.evidence == Evidence::kRan) ||
         (ran && row.evidence == Evidence::kRanParsed && result.syntactic_ok) ||
         (ran && row.evidence == Evidence::kRanClean && !stepped())) {
-      sites.emplace_back(row.name);
+      evidence.vouched |= bit(i);
     }
   }
-  std::sort(sites.begin(), sites.end());
-  return sites;
+  evidence.vouched &= ~evidence.failed;  // failures win
+  return evidence;
 }
 
 }  // namespace qcgen::agents

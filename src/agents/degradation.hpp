@@ -1,21 +1,17 @@
 #pragma once
 // The degradation table: the one place that knows which rung each
-// pipeline stage runs on and what moves it down. A stage starts below
-// its full rung when its admission level, an open circuit breaker,
-// budget pressure or a missing reference forces it there (start_rung,
-// a pure function), and steps down when an attempt fails (walk_ladder,
-// which every stage's failure path calls). An open breaker on a site
-// whose stage has no cheaper rung fails the request fast instead.
-// Failure steps, terminal give-ups and pressure-forced starts are
-// recorded as DegradationEvents; the serving layer logs admission- and
-// breaker-forced starts itself.
+// pipeline stage runs on and what moves it down. start_rung() picks the
+// rung a stage starts on from the admission level, the open circuit
+// breakers, the budget pressure and whether a reference exists;
+// walk_ladder(), which every stage's failure path calls, steps it down
+// when an attempt fails. An open breaker whose site has no cheaper rung
+// fails the request fast instead.
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "qec/decoder.hpp"
 
@@ -23,8 +19,7 @@ namespace qcgen::agents {
 
 struct PipelineResult;
 
-/// Admission verdict for a served request (serve::AdmissionController);
-/// kShed requests never run.
+/// Admission verdict for a served request; kShed requests never run.
 enum class AdmissionLevel { kFull = 0, kNoRag = 1, kStaticOnly = 2, kShed = 3 };
 
 enum class Stage : std::uint8_t {
@@ -57,24 +52,24 @@ struct StageRow {
   bool needs_reference;
   /// A failure steps down only if organic or from this site ("": any).
   std::string_view step_site;
-  /// Event when the last rung fails ("" from: that rung; "" to: the
-  /// stage fails instead).
+  /// The event when the last rung fails ("" from: that rung; "" to: no
+  /// event, the stage fails).
   std::string_view terminal_from, terminal_to;
 };
 const StageRow& stage_row(Stage stage) noexcept;
 std::string_view site_name(Site site) noexcept;
 std::optional<Site> find_site(std::string_view name) noexcept;
-std::vector<std::string> breaker_sites();
+/// Every site, in name order (the order breakers report in).
+const std::array<Site, kSiteCount>& sites_by_name() noexcept;
 
+/// Why a stage starts degraded; only kPressure records an event.
 enum class Cause : std::uint8_t {
   kNone, kNoReference, kAdmission, kBreaker, kPressure
 };
-/// DegradationEvent::reason of a pressure-forced start.
 inline constexpr std::string_view kPressureReason = "budget-pressure";
 
-/// Rung 0 is the full rung, 1 the degraded one (for QEC: no plan).
 struct Start {
-  std::size_t rung = 0;
+  std::size_t rung = 0;  ///< 0: full; 1: degraded (for QEC: no plan)
   Cause cause = Cause::kNone;
   friend bool operator==(const Start&, const Start&) = default;
 };
@@ -100,9 +95,8 @@ struct DegradationEvent {
   std::string from;    ///< rung degraded from, e.g. "mwpm", "abstract-lints"
   std::string to;      ///< rung degraded to, e.g. "union-find", "core-lints"
   std::string reason;  ///< the failure that forced the step
-  /// Fail-point site of the failure that forced the step ("" for organic
-  /// failures and for budget-pressure pre-degradations). Circuit
-  /// breakers attribute per-site failures through this field.
+  /// Fail-point site of that failure ("" for organic failures and for
+  /// pressure-forced starts); circuit breakers attribute faults by it.
   std::string site;
   friend bool operator==(const DegradationEvent&,
                          const DegradationEvent&) = default;
@@ -153,11 +147,19 @@ std::optional<StageFailure> walk_ladder(const Ladder& ladder,
   }
 }
 
-/// The breaker sites a completed run vouches for, sorted by name:
-/// `full_rung` holds the stages it ran on their full rung, and a site in
-/// `failed` is never vouched for. Other sites are no-signal.
-std::vector<std::string> vouched_sites(const PipelineResult& result,
-                                       StageSet full_rung,
-                                       const std::vector<std::string>& failed);
+/// A finished request's circuit-breaker evidence: the sites it failed at
+/// (its failure site and every site that forced a ladder step) and the
+/// sites it vouches for by exercising them without incident. The rest
+/// are no-signal.
+struct SiteEvidence {
+  SiteSet failed = 0;
+  SiteSet vouched = 0;
+};
+/// `failure_site` is "" unless the request failed there; `full_rung`
+/// holds the stages a completed run ran on their full rung (nullopt:
+/// the run did not complete, which vouches for nothing).
+SiteEvidence site_evidence(const PipelineResult& result,
+                           std::string_view failure_site,
+                           std::optional<StageSet> full_rung);
 
 }  // namespace qcgen::agents

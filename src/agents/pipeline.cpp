@@ -212,9 +212,8 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   };
   llm::GenerationResult generation;
   cancel::checkpoint("pipeline.generate");
-  StartInputs inputs{.admission = conditions_.admission,
-                     .open_sites = conditions_.open_sites,
-                     .has_reference = !reference.empty()};
+  StartInputs inputs = conditions_;
+  inputs.has_reference = !reference.empty();
   // The RAG rung is decided once, before the first generation, and held
   // for every repair; a technique without RAG has only the no-rag rung.
   std::size_t rag_rung = 1;

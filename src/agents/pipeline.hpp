@@ -44,13 +44,6 @@ struct ResilienceOptions {
   double stage_budget_units = 0.0;
 };
 
-/// What the serving layer knows about a request before it runs; the
-/// degradation table turns it into the stages' starting rungs.
-struct ServeConditions {
-  AdmissionLevel admission = AdmissionLevel::kFull;
-  SiteSet open_sites = 0;  ///< sites whose circuit breaker is open
-};
-
 /// Raised when a mandatory stage stays down after retries and ladders
 /// are exhausted. The trial scheduler converts it into a structured
 /// TrialFailure; it never escapes eval::run_trial_matrix.
@@ -152,18 +145,17 @@ class MultiAgentPipeline {
                      std::optional<DeviceTopology> device,
                      std::uint64_t seed);
 
-  CodeGenAgent& codegen() { return codegen_; }
-  const SemanticAnalyzerAgent& analyzer() const { return analyzer_; }
-
-  const ResilienceOptions& resilience() const noexcept { return resilience_; }
   void set_resilience(const ResilienceOptions& options) {
     resilience_ = options;
   }
 
-  /// Serving-layer inputs to the stages' starting rungs (the default
-  /// is an unloaded request with every breaker closed).
-  void set_conditions(ServeConditions conditions) noexcept {
-    conditions_ = conditions;
+  /// What the serving layer knows before the request runs: its
+  /// admission level and the sites whose circuit breaker is open (the
+  /// default is an unloaded request with every breaker closed). The
+  /// degradation table turns them into the stages' starting rungs.
+  void set_conditions(AdmissionLevel admission, SiteSet open_sites) noexcept {
+    conditions_.admission = admission;
+    conditions_.open_sites = open_sites;
   }
 
   /// Wires the serving caches through to the agents (the retrieval cache
@@ -212,7 +204,7 @@ class MultiAgentPipeline {
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
   ResilienceOptions resilience_;
-  ServeConditions conditions_;
+  StartInputs conditions_;  ///< see set_conditions()
   StageSet full_rung_ = 0;  ///< see full_rung_stages()
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor

@@ -27,9 +27,7 @@ std::string_view breaker_state_name(BreakerState state) noexcept {
   return "unknown";
 }
 
-BreakerBoard::BreakerBoard(BreakerOptions options,
-                           std::vector<std::string> sites)
-    : options_(options), sites_(std::move(sites)) {
+BreakerBoard::BreakerBoard(BreakerOptions options) : options_(options) {
   require(options_.failure_threshold >= 1,
           "BreakerBoard: failure_threshold must be >= 1");
   require(options_.half_open_successes >= 1,
@@ -39,8 +37,6 @@ BreakerBoard::BreakerBoard(BreakerOptions options,
   require(options_.probe_probability >= 0.0 &&
               options_.probe_probability <= 1.0,
           "BreakerBoard: probe_probability out of [0,1]");
-  std::sort(sites_.begin(), sites_.end());
-  sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
 }
 
 void BreakerBoard::register_request(std::uint64_t id, double arrival_vt,
@@ -66,9 +62,10 @@ void BreakerBoard::register_request(std::uint64_t id, double arrival_vt,
   order_.push_back(id);
 }
 
-bool BreakerBoard::probes(std::string_view site,
+bool BreakerBoard::probes(agents::Site site,
                           std::uint64_t id) const noexcept {
-  std::uint64_t state = (options_.seed ^ kProbeSalt ^ fnv1a64(site)) +
+  std::uint64_t state =
+      (options_.seed ^ kProbeSalt ^ fnv1a64(agents::site_name(site))) +
                         0x9e3779b97f4a7c15ULL * (id + 1);
   const std::uint64_t mixed = splitmix64(state);
   // 53-bit mantissa draw in [0, 1), the Rng::uniform discipline.
@@ -77,7 +74,7 @@ bool BreakerBoard::probes(std::string_view site,
   return u < options_.probe_probability;
 }
 
-void BreakerBoard::thaw(Fold& fold, const std::string& site, double now,
+void BreakerBoard::thaw(Fold& fold, agents::Site site, double now,
                         std::vector<BreakerTransition>* sink) const {
   if (fold.state != BreakerState::kOpen) return;
   const double ready = fold.opened_at + options_.cooldown_vt;
@@ -85,35 +82,32 @@ void BreakerBoard::thaw(Fold& fold, const std::string& site, double now,
   fold.state = BreakerState::kHalfOpen;
   fold.probe_successes = 0;
   if (sink != nullptr) {
-    sink->push_back({site, BreakerState::kOpen, BreakerState::kHalfOpen,
-                     ready, 0});
+    sink->push_back({std::string(agents::site_name(site)), BreakerState::kOpen,
+                     BreakerState::kHalfOpen, ready, 0});
   }
 }
 
-void BreakerBoard::apply(Fold& fold, const std::string& site,
-                         const Entry& entry,
+void BreakerBoard::apply(Fold& fold, agents::Site site, const Entry& entry,
                          std::vector<BreakerTransition>* sink) const {
   thaw(fold, site, entry.finish_vt, sink);
   if (!entry.decided) return;  // never ran (e.g. cancelled pre-execution)
-  const auto it = entry.decisions.find(site);
-  if (it == entry.decisions.end()) return;
-  const BreakerDecision& decision = it->second;
-  if (decision.short_circuit) return;  // the site was never exercised
-  const auto contains = [&site](const std::vector<std::string>& sites) {
-    return std::find(sites.begin(), sites.end(), site) != sites.end();
+  const agents::SiteSet mask = agents::bit(site);
+  if (entry.verdicts.short_circuit & mask) return;  // never exercised
+  const bool failed = (entry.failed & mask) != 0;
+  const bool succeeded = (entry.succeeded & mask) != 0;
+  const auto edge = [&](BreakerState from, BreakerState to) {
+    if (sink != nullptr) {
+      sink->push_back({std::string(agents::site_name(site)), from, to,
+                       entry.finish_vt, entry.id});
+    }
   };
-  const bool failed = contains(entry.failed_sites);
-  const bool succeeded = contains(entry.succeeded_sites);
   switch (fold.state) {
     case BreakerState::kClosed:
       if (failed) {
         if (++fold.consecutive_failures >= options_.failure_threshold) {
           fold.state = BreakerState::kOpen;
           fold.opened_at = entry.finish_vt;
-          if (sink != nullptr) {
-            sink->push_back({site, BreakerState::kClosed, BreakerState::kOpen,
-                             entry.finish_vt, entry.id});
-          }
+          edge(BreakerState::kClosed, BreakerState::kOpen);
         }
       } else if (succeeded) {
         // Only a request that demonstrably exercised the site vouches
@@ -127,32 +121,26 @@ void BreakerBoard::apply(Fold& fold, const std::string& site,
       // here; their signal is stale — the breaker is already open.
       break;
     case BreakerState::kHalfOpen:
-      if (!decision.probing) break;
+      if (!(entry.verdicts.probing & mask)) break;
       if (failed) {
         fold.state = BreakerState::kOpen;
         fold.opened_at = entry.finish_vt;
         fold.consecutive_failures = 0;
-        if (sink != nullptr) {
-          sink->push_back({site, BreakerState::kHalfOpen, BreakerState::kOpen,
-                           entry.finish_vt, entry.id});
-        }
+        edge(BreakerState::kHalfOpen, BreakerState::kOpen);
       } else if (!succeeded) {
         break;  // probe never reached the site: no-signal either way
       } else if (++fold.probe_successes >= options_.half_open_successes) {
         fold.state = BreakerState::kClosed;
         fold.consecutive_failures = 0;
         fold.probe_successes = 0;
-        if (sink != nullptr) {
-          sink->push_back({site, BreakerState::kHalfOpen,
-                           BreakerState::kClosed, entry.finish_vt, entry.id});
-        }
+        edge(BreakerState::kHalfOpen, BreakerState::kClosed);
       }
       break;
   }
 }
 
 BreakerBoard::Fold BreakerBoard::fold_site_locked(
-    const std::string& site, double up_to_vt,
+    agents::Site site, double up_to_vt,
     std::vector<BreakerTransition>* sink) const {
   Fold fold;
   // order_ is registration order; report events replay ordered by
@@ -178,12 +166,12 @@ BreakerBoard::Fold BreakerBoard::fold_site_locked(
   return fold;
 }
 
-std::map<std::string, BreakerDecision> BreakerBoard::decide(std::uint64_t id) {
+BreakerVerdicts BreakerBoard::decide(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = entries_.find(id);
   require(it != entries_.end(), "BreakerBoard: decide for unregistered id");
   Entry& entry = it->second;
-  if (entry.decided) return entry.decisions;
+  if (entry.decided) return entry.verdicts;
   // Gate: the event log below our arrival must be complete. Only
   // earlier-registered requests can finish at or before our arrival
   // (admission hands out nondecreasing starts), and under FIFO pop each
@@ -199,38 +187,24 @@ std::map<std::string, BreakerDecision> BreakerBoard::decide(std::uint64_t id) {
     }
     return true;
   });
-  std::map<std::string, BreakerDecision> decisions;
-  for (const std::string& site : sites_) {
-    const Fold fold = fold_site_locked(site, entry.arrival_vt, nullptr);
-    BreakerDecision decision;
-    switch (fold.state) {
-      case BreakerState::kClosed:
-        break;
-      case BreakerState::kOpen:
-        decision.short_circuit = true;
-        break;
-      case BreakerState::kHalfOpen:
-        if (probes(site, id)) {
-          decision.probing = true;
-        } else {
-          decision.short_circuit = true;
-        }
-        break;
-    }
-    if (decision.short_circuit) {
+  for (const agents::Site site : agents::sites_by_name()) {
+    const BreakerState state =
+        fold_site_locked(site, entry.arrival_vt, nullptr).state;
+    if (state == BreakerState::kClosed) continue;
+    if (state == BreakerState::kHalfOpen && probes(site, id)) {
+      entry.verdicts.probing |= agents::bit(site);
+      trace::Metrics::counter("breaker.probe");
+    } else {
+      entry.verdicts.short_circuit |= agents::bit(site);
       trace::Metrics::counter("breaker.short_circuit");
     }
-    if (decision.probing) trace::Metrics::counter("breaker.probe");
-    decisions.emplace(site, decision);
   }
   entry.decided = true;
-  entry.decisions = decisions;
-  return decisions;
+  return entry.verdicts;
 }
 
-void BreakerBoard::report(std::uint64_t id,
-                          const std::vector<std::string>& failed_sites,
-                          const std::vector<std::string>& succeeded_sites) {
+void BreakerBoard::report(std::uint64_t id, agents::SiteSet failed,
+                          agents::SiteSet succeeded) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(id);
@@ -242,8 +216,8 @@ void BreakerBoard::report(std::uint64_t id,
             "BreakerBoard: request reported twice");
     if (it->second.reported) return;
     it->second.reported = true;
-    it->second.failed_sites = failed_sites;
-    it->second.succeeded_sites = succeeded_sites;
+    it->second.failed = failed;
+    it->second.succeeded = succeeded;
   }
   reported_cv_.notify_all();
 }
@@ -262,17 +236,17 @@ void BreakerBoard::finalize() {
 std::vector<BreakerTransition> BreakerBoard::transitions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<BreakerTransition> all;
-  for (const std::string& site : sites_) {
+  for (const agents::Site site : agents::sites_by_name()) {
     (void)fold_site_locked(site, std::numeric_limits<double>::infinity(),
                            &all);
   }
   return all;
 }
 
-BreakerState BreakerBoard::state(std::string_view site) const {
+BreakerState BreakerBoard::state(agents::Site site) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return fold_site_locked(std::string(site),
-                          std::numeric_limits<double>::infinity(), nullptr)
+  return fold_site_locked(site, std::numeric_limits<double>::infinity(),
+                          nullptr)
       .state;
 }
 

@@ -46,14 +46,15 @@
 // The same fold over the *complete* log (transitions()) yields the
 // authoritative transition history reported by the lifecycle bench.
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include <condition_variable>
-#include <mutex>
+#include "agents/degradation.hpp"
 
 namespace qcgen::serve {
 
@@ -94,20 +95,21 @@ struct BreakerTransition {
                          const BreakerTransition&) = default;
 };
 
-/// Per-site verdict handed to a request before it runs.
-struct BreakerDecision {
-  /// Skip the real path and take the site's degraded action.
-  bool short_circuit = false;
-  /// Half-open probe: exercise the real path; the outcome drives the
-  /// close / re-open edge.
-  bool probing = false;
+/// Per-site verdicts handed to a request before it runs.
+struct BreakerVerdicts {
+  /// Sites to skip: the request takes each one's degraded action.
+  agents::SiteSet short_circuit = 0;
+  /// Half-open probes: the request exercises the real path and its
+  /// outcome drives the close / re-open edge.
+  agents::SiteSet probing = 0;
 };
 
-/// The server's breaker state over all tracked sites. Thread-safe; all
-/// verdicts are virtual-time deterministic (see file comment).
+/// The server's breaker state over every site of the degradation table
+/// (agents::Site). Thread-safe; all verdicts are virtual-time
+/// deterministic (see file comment).
 class BreakerBoard {
  public:
-  BreakerBoard(BreakerOptions options, std::vector<std::string> sites);
+  explicit BreakerBoard(BreakerOptions options);
 
   const BreakerOptions& options() const noexcept { return options_; }
 
@@ -117,34 +119,34 @@ class BreakerBoard {
   void register_request(std::uint64_t id, double arrival_vt,
                         double finish_vt);
 
-  /// Verdicts for every tracked site at the request's arrival_vt.
-  /// Blocks until the event log below arrival_vt is complete (see file
-  /// comment for why that terminates). Verdicts are cached: later folds
-  /// read them to know whether this request exercised / probed a site.
-  std::map<std::string, BreakerDecision> decide(std::uint64_t id);
+  /// Verdicts for every site at the request's arrival_vt. Blocks until
+  /// the event log below arrival_vt is complete (see file comment for
+  /// why that terminates). Verdicts are cached: later folds read them
+  /// to know whether this request exercised / probed a site.
+  BreakerVerdicts decide(std::uint64_t id);
 
-  /// Reports the request's per-site evidence: `failed_sites` it failed
-  /// at (failure site and degradation-forcing sites) and
-  /// `succeeded_sites` it demonstrably exercised without incident. Every
-  /// registered request must report exactly once, on every outcome path.
-  /// Sites in neither list are *no-signal*: a request that never reached
-  /// a site (aborted mid-run, skipped the stage, short-circuited) is not
-  /// proof of the site's health, so it neither resets a closed breaker's
-  /// failure streak nor closes a half-open one. The caller owns the
-  /// exercise accounting — only it knows which stages actually ran.
-  void report(std::uint64_t id, const std::vector<std::string>& failed_sites,
-              const std::vector<std::string>& succeeded_sites);
+  /// Reports the request's per-site evidence: the sites it `failed` at
+  /// (failure site and degradation-forcing sites) and those it
+  /// demonstrably exercised without incident (`succeeded`; see
+  /// agents::site_evidence). Every registered request must report
+  /// exactly once, on every outcome path. Sites in neither set are
+  /// *no-signal*: a request that never reached a site (aborted mid-run,
+  /// skipped the stage, short-circuited) is not proof of the site's
+  /// health, so it neither resets a closed breaker's failure streak nor
+  /// closes a half-open one.
+  void report(std::uint64_t id, agents::SiteSet failed,
+              agents::SiteSet succeeded);
 
   /// Releases any decide() waiters by marking still-unreported requests
   /// as reported-empty (destruction / abandoned-drain safety valve).
   void finalize();
 
   /// Authoritative transition history: the full-log fold, per site in
-  /// site order, each site's edges in virtual-time order.
+  /// name order, each site's edges in virtual-time order.
   std::vector<BreakerTransition> transitions() const;
 
   /// Convenience for tests: the state the full log leaves `site` in.
-  BreakerState state(std::string_view site) const;
+  BreakerState state(agents::Site site) const;
 
  private:
   struct Entry {
@@ -154,9 +156,9 @@ class BreakerBoard {
     double finish_vt = 0.0;
     bool decided = false;
     bool reported = false;
-    std::map<std::string, BreakerDecision> decisions;
-    std::vector<std::string> failed_sites;
-    std::vector<std::string> succeeded_sites;
+    BreakerVerdicts verdicts;
+    agents::SiteSet failed = 0;
+    agents::SiteSet succeeded = 0;
   };
 
   struct Fold {
@@ -168,19 +170,18 @@ class BreakerBoard {
 
   /// Advances `fold`, materialising the lazy open -> half-open edge if
   /// `now` is past the cooldown. `sink` (nullable) collects edges.
-  void thaw(Fold& fold, const std::string& site, double now,
+  void thaw(Fold& fold, agents::Site site, double now,
             std::vector<BreakerTransition>* sink) const;
   /// Applies one report event for `site` to `fold`.
-  void apply(Fold& fold, const std::string& site, const Entry& entry,
+  void apply(Fold& fold, agents::Site site, const Entry& entry,
              std::vector<BreakerTransition>* sink) const;
   /// Folds `site`'s event stream up to (and including events at)
   /// `up_to_vt`; +inf folds everything. Caller holds mutex_.
-  Fold fold_site_locked(const std::string& site, double up_to_vt,
+  Fold fold_site_locked(agents::Site site, double up_to_vt,
                         std::vector<BreakerTransition>* sink) const;
-  bool probes(std::string_view site, std::uint64_t id) const noexcept;
+  bool probes(agents::Site site, std::uint64_t id) const noexcept;
 
   BreakerOptions options_;
-  std::vector<std::string> sites_;
 
   mutable std::mutex mutex_;
   std::condition_variable reported_cv_;

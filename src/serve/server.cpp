@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,24 +15,6 @@ namespace {
 constexpr std::uint64_t kServeChaosSalt = 0x39d2f1b7a85c64e9ULL;
 
 const sim::Distribution kEmptyReference;
-
-/// The sites this request failed at, for the breaker event log: the
-/// terminal failure site (kFailed only) plus every site that forced a
-/// degradation-ladder step (completed-with-degradations requests carry
-/// their fault evidence there). Deduplicated, sorted.
-std::vector<std::string> failed_sites_of(const RequestResult& result) {
-  std::vector<std::string> sites;
-  if (result.outcome == RequestOutcome::kFailed &&
-      !result.failure_site.empty()) {
-    sites.push_back(result.failure_site);
-  }
-  for (const agents::DegradationEvent& event : result.pipeline.degradations) {
-    if (!event.site.empty()) sites.push_back(event.site);
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
-  return sites;
-}
 
 /// The lifecycle outcome of a request whose body threw.
 RequestOutcome outcome_of(const eval::UnitFailure& failure) {
@@ -84,8 +65,7 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   if (options_.breaker.enabled) {
     BreakerOptions breaker_options = options_.breaker;
     if (breaker_options.seed == 0) breaker_options.seed = options_.seed;
-    breaker_ = std::make_unique<BreakerBoard>(breaker_options,
-                                              agents::breaker_sites());
+    breaker_ = std::make_unique<BreakerBoard>(breaker_options);
   }
   // Prewarm makes reference_for read-only for catalog cases, so worker
   // threads can look references up concurrently; the prompt index fixes
@@ -248,14 +228,15 @@ RequestResult Server::run_request(const Request& request,
     // Breaker verdicts at this request's virtual arrival. Open sites
     // start their stage degraded (or fail fast); half-open probes run
     // the real path and their outcome drives the close / re-open edge.
-    agents::ServeConditions conditions{.admission = ticket.level};
-    if (breaker_ != nullptr) {
-      for (const auto& [site, verdict] : breaker_->decide(request.id)) {
-        if (verdict.short_circuit) {
-          result.breaker_short_circuits.push_back(site);
-          conditions.open_sites |= agents::bit(*agents::find_site(site));
-        }
-        if (verdict.probing) result.breaker_probes.push_back(site);
+    const BreakerVerdicts verdicts =
+        breaker_ != nullptr ? breaker_->decide(request.id) : BreakerVerdicts{};
+    for (const agents::Site site : agents::sites_by_name()) {
+      const std::string_view name = agents::site_name(site);
+      if (verdicts.short_circuit & agents::bit(site)) {
+        result.breaker_short_circuits.emplace_back(name);
+      }
+      if (verdicts.probing & agents::bit(site)) {
+        result.breaker_probes.emplace_back(name);
       }
     }
 
@@ -276,7 +257,7 @@ RequestResult Server::run_request(const Request& request,
 
     // A persistently failing site with no cheaper rung fails fast: a
     // structured kFailed beats burning deadline budget on it.
-    if (const auto site = agents::fail_fast_site(conditions.open_sites)) {
+    if (const auto site = agents::fail_fast_site(verdicts.short_circuit)) {
       const std::string name(agents::site_name(*site));
       result.outcome = RequestOutcome::kFailed;
       result.failure_stage = "request";
@@ -297,7 +278,7 @@ RequestResult Server::run_request(const Request& request,
       // addressed computes run, nothing is memoized.
       pipeline->set_caches({true, generation_cache_, analysis_cache_});
     }
-    pipeline->set_conditions(conditions);
+    pipeline->set_conditions(ticket.level, verdicts.short_circuit);
     result.pipeline =
         pipeline->run(request.test_case.task, *reference, prompt_index);
     result.outcome = RequestOutcome::kCompleted;
@@ -321,7 +302,7 @@ RequestResult Server::run_request(const Request& request,
   // An aborted run (deadline, cancel, stage error) discards its partial
   // pipeline result, but the ladder steps it took up to the abort are
   // this request's per-site fault evidence — copy them off the wreck so
-  // failed_sites_of and the lifecycle report still see them.
+  // the breaker and the lifecycle report still see them.
   if (result.outcome != RequestOutcome::kCompleted && pipeline.has_value()) {
     result.pipeline.degradations = pipeline->last_degradations();
   }
@@ -329,15 +310,12 @@ RequestResult Server::run_request(const Request& request,
   // Every registered request reports exactly once, on every outcome
   // path — the decide() gate of later-arriving requests depends on it.
   if (breaker_ != nullptr) {
-    // Positive evidence: the sites a completed request demonstrably
-    // exercised without incident. An abort vouches for nothing.
-    const std::vector<std::string> failed = failed_sites_of(result);
-    breaker_->report(
-        request.id, failed,
-        result.outcome == RequestOutcome::kCompleted
-            ? agents::vouched_sites(result.pipeline,
-                                    pipeline->full_rung_stages(), failed)
-            : std::vector<std::string>{});
+    const bool completed = result.outcome == RequestOutcome::kCompleted;
+    const agents::SiteEvidence evidence = agents::site_evidence(
+        result.pipeline,
+        result.outcome == RequestOutcome::kFailed ? result.failure_site : "",
+        completed ? std::optional(pipeline->full_rung_stages()) : std::nullopt);
+    breaker_->report(request.id, evidence.failed, evidence.vouched);
   }
   return result;
 }

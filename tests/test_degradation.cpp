@@ -263,11 +263,13 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
       "analyzer.abstract", "analyzer.parse",   "analyzer.simulate",
       "llm.generate",      "oracle.reference", "pool.task",
       "qec.decode",        "retrieval.query"};
-  ASSERT_EQ(std::set<std::string>(sites.begin(), sites.end()),
-            [] {
-              const auto names = agents::breaker_sites();
-              return std::set<std::string>(names.begin(), names.end());
-            }());
+  ASSERT_EQ(std::set<std::string>(sites.begin(), sites.end()), [] {
+    std::set<std::string> names;
+    for (const agents::Site site : agents::sites_by_name()) {
+      names.emplace(agents::site_name(site));
+    }
+    return names;
+  }());
   for (const std::string& site : sites) {
     for (const char* probability : {"0.5", "1.0"}) {
       const std::string chaos = site + "=error(" + probability + ")";
@@ -340,9 +342,10 @@ TEST(DegradationDecisions, GoldenDigestIsFrozen) {
   }
   // Every breaker site a served request can exercise must have opened
   // (oracle.reference is prewarmed at construction, never per request).
-  for (const std::string& site : agents::breaker_sites()) {
-    if (site == "oracle.reference") continue;
-    EXPECT_TRUE(out.short_circuits.count(site)) << site << " never opened";
+  for (const agents::Site site : agents::sites_by_name()) {
+    const std::string name(agents::site_name(site));
+    if (site == agents::Site::kOracleReference) continue;
+    EXPECT_TRUE(out.short_circuits.count(name)) << name << " never opened";
   }
   EXPECT_EQ(out.digest.value, 12142609462163605347ULL);
 }

@@ -29,6 +29,8 @@ using namespace qcgen;
 
 namespace {
 
+constexpr agents::SiteSet kQec = agents::bit(agents::Site::kQecDecode);
+
 std::vector<eval::TestCase> small_catalog() {
   const auto full = eval::semantic_suite();
   return {full.begin(), full.begin() + 3};
@@ -317,7 +319,7 @@ TEST(Breaker, AbortedRequestsAreNoSignal) {
   serve::BreakerOptions options;
   options.enabled = true;
   options.failure_threshold = 3;
-  serve::BreakerBoard board(options, {"qec.decode"});
+  serve::BreakerBoard board(options);
   double vt = 0.0;
   for (std::uint64_t id = 0; id < 6; ++id) {
     board.register_request(id, vt, vt + 0.5);
@@ -326,20 +328,21 @@ TEST(Breaker, AbortedRequestsAreNoSignal) {
   for (std::uint64_t id = 0; id < 6; ++id) {
     (void)board.decide(id);
     if (id % 2 == 0) {
-      board.report(id, {"qec.decode"}, {});  // exercised, failed
+      board.report(id, kQec, 0);  // exercised, failed
     } else {
-      board.report(id, {}, {});  // aborted before the site: no-signal
+      board.report(id, 0, 0);  // aborted before the site: no-signal
     }
   }
   // Three failures with interleaved no-signal reports: breaker open.
-  EXPECT_EQ(board.state("qec.decode"), serve::BreakerState::kOpen);
+  EXPECT_EQ(board.state(agents::Site::kQecDecode),
+            serve::BreakerState::kOpen);
 }
 
 TEST(Breaker, SuccessEvidenceResetsTheStreak) {
   serve::BreakerOptions options;
   options.enabled = true;
   options.failure_threshold = 3;
-  serve::BreakerBoard board(options, {"qec.decode"});
+  serve::BreakerBoard board(options);
   double vt = 0.0;
   for (std::uint64_t id = 0; id < 6; ++id) {
     board.register_request(id, vt, vt + 0.5);
@@ -348,9 +351,9 @@ TEST(Breaker, SuccessEvidenceResetsTheStreak) {
   for (std::uint64_t id = 0; id < 6; ++id) {
     (void)board.decide(id);
     if (id == 2) {
-      board.report(id, {}, {"qec.decode"});  // success: streak resets
+      board.report(id, 0, kQec);  // success: streak resets
     } else {
-      board.report(id, {"qec.decode"}, {});
+      board.report(id, kQec, 0);
     }
   }
   // fail, fail, success, fail, fail, fail: exactly one open, at the end.
@@ -368,7 +371,7 @@ TEST(Breaker, HalfOpenProbesCloseAfterCooldown) {
   options.half_open_successes = 2;
   options.probe_probability = 1.0;  // every post-cooldown request probes
   options.seed = 7;
-  serve::BreakerBoard board(options, {"qec.decode"});
+  serve::BreakerBoard board(options);
   double vt = 0.0;
   for (std::uint64_t id = 0; id < 6; ++id) {
     board.register_request(id, vt, vt + 0.5);
@@ -378,15 +381,15 @@ TEST(Breaker, HalfOpenProbesCloseAfterCooldown) {
   // and two probe successes close it again.
   std::vector<bool> probed;
   for (std::uint64_t id = 0; id < 6; ++id) {
-    const auto verdicts = board.decide(id);
-    probed.push_back(verdicts.at("qec.decode").probing);
+    probed.push_back((board.decide(id).probing & kQec) != 0);
     if (id < 2) {
-      board.report(id, {"qec.decode"}, {});
+      board.report(id, kQec, 0);
     } else {
-      board.report(id, {}, {"qec.decode"});
+      board.report(id, 0, kQec);
     }
   }
-  EXPECT_EQ(board.state("qec.decode"), serve::BreakerState::kClosed);
+  EXPECT_EQ(board.state(agents::Site::kQecDecode),
+            serve::BreakerState::kClosed);
   EXPECT_TRUE(std::any_of(probed.begin(), probed.end(),
                           [](bool p) { return p; }));
   // closed -> open -> half-open -> closed, in virtual-time order.
