@@ -32,8 +32,7 @@ enum class Evidence { kCompleted, kRan, kRanParsed, kRanClean, kNever };
 
 struct SiteRow {
   std::string_view name;
-  /// The stage an open breaker starts degraded; none: fail fast.
-  std::optional<Stage> forces;
+  std::optional<Stage> forces;  ///< starts degraded when open; none: fail fast
   Evidence evidence;
 };
 
@@ -50,6 +49,10 @@ constexpr std::array<SiteRow, kSiteCount> kSites = {{
     {"qec.decode", Stage::kQec, Evidence::kRanClean},
 }};
 
+bool has(std::uint32_t set, std::size_t index) noexcept {
+  return (set & (1U << index)) != 0;
+}
+
 }  // namespace
 
 const StageRow& stage_row(Stage stage) noexcept {
@@ -62,7 +65,7 @@ std::string_view site_name(Site site) noexcept {
 
 std::optional<Site> find_site(std::string_view name) noexcept {
   for (std::size_t i = 0; i < kSiteCount; ++i) {
-    if (kSites[i].name == name) return static_cast<Site>(i);
+    if (kSites[i].name == name) return Site(i);
   }
   return std::nullopt;
 }
@@ -71,9 +74,8 @@ const std::array<Site, kSiteCount>& sites_by_name() noexcept {
   static const std::array<Site, kSiteCount> sorted = [] {
     std::array<Site, kSiteCount> sites{};
     for (std::size_t i = 0; i < kSiteCount; ++i) sites[i] = Site(i);
-    std::sort(sites.begin(), sites.end(), [](Site a, Site b) {
-      return site_name(a) < site_name(b);
-    });
+    std::sort(sites.begin(), sites.end(),
+              [](Site a, Site b) { return site_name(a) < site_name(b); });
     return sites;
   }();
   return sorted;
@@ -85,15 +87,15 @@ Start start_rung(Stage stage, const StartInputs& inputs) noexcept {
   if (row.needs_reference && !inputs.has_reference) {
     return {1, Cause::kNoReference};
   }
-  if (row.admission.has_value() && inputs.admission >= *row.admission) {
+  if (row.admission && inputs.admission >= *row.admission) {
     return {1, Cause::kAdmission};
   }
   for (std::size_t i = 0; i < kSiteCount; ++i) {
-    if ((inputs.open_sites & bit(i)) != 0 && kSites[i].forces == stage) {
+    if (has(inputs.open_sites, i) && kSites[i].forces == stage) {
       return {1, Cause::kBreaker};
     }
   }
-  if (row.pressure.has_value() && inputs.pressure >= *row.pressure) {
+  if (row.pressure && inputs.pressure >= *row.pressure) {
     return {1, Cause::kPressure};
   }
   return {};
@@ -101,23 +103,19 @@ Start start_rung(Stage stage, const StartInputs& inputs) noexcept {
 
 std::optional<Site> fail_fast_site(SiteSet open_sites) noexcept {
   for (std::size_t i = 0; i < kSiteCount; ++i) {
-    if ((open_sites & bit(i)) != 0 && !kSites[i].forces.has_value()) {
-      return static_cast<Site>(i);
-    }
+    if (has(open_sites, i) && !kSites[i].forces) return Site(i);
   }
   return std::nullopt;
 }
 
 DegradationEvent pressure_step(Stage stage, int pass) {
   const StageRow& row = stage_row(stage);
-  return {pass,          std::string(row.name), std::string(row.full),
+  return {pass, std::string(row.name), std::string(row.full),
           std::string(row.degraded), std::string(kPressureReason), ""};
 }
 
 Ladder ladder(Stage stage) noexcept {
-  return {.stage = stage,
-          .rungs = {stage_row(stage).full, stage_row(stage).degraded},
-          .size = 2};
+  return {stage, {stage_row(stage).full, stage_row(stage).degraded}, 2};
 }
 
 Ladder decoder_ladder(qec::DecoderKind configured, int distance) noexcept {
@@ -153,29 +151,29 @@ SiteEvidence site_evidence(const PipelineResult& result,
                            std::string_view failure_site,
                            std::optional<StageSet> full_rung) {
   SiteEvidence evidence;
+  StageSet clean = full_rung.value_or(0);  // full rung and no ladder step
   const auto fail = [&](std::string_view name) {
     if (const auto site = find_site(name)) evidence.failed |= bit(*site);
   };
   fail(failure_site);
-  for (const DegradationEvent& event : result.degradations) fail(event.site);
-  if (!full_rung.has_value()) return evidence;
-  for (std::size_t i = 0; i < kSiteCount; ++i) {
+  for (const DegradationEvent& event : result.degradations) {
+    fail(event.site);
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      if (kStages[i].name == event.stage) clean &= ~(1U << i);
+    }
+  }
+  for (std::size_t i = 0; full_rung && i < kSiteCount; ++i) {
     const SiteRow& row = kSites[i];
-    const bool ran = row.forces.has_value() && (*full_rung & bit(*row.forces));
-    const auto stepped = [&] {
-      return std::any_of(result.degradations.begin(), result.degradations.end(),
-                         [&](const DegradationEvent& event) {
-                           return event.stage == stage_row(*row.forces).name;
-                         });
-    };
-    if (row.evidence == Evidence::kCompleted ||
-        (ran && row.evidence == Evidence::kRan) ||
-        (ran && row.evidence == Evidence::kRanParsed && result.syntactic_ok) ||
-        (ran && row.evidence == Evidence::kRanClean && !stepped())) {
+    const StageSet stage = row.forces ? bit(*row.forces) : 0;
+    const bool ran = (*full_rung & stage) != 0;
+    if (!has(evidence.failed, i) &&  // failures win
+        (row.evidence == Evidence::kCompleted ||
+         (row.evidence == Evidence::kRan && ran) ||
+         (row.evidence == Evidence::kRanParsed && ran && result.syntactic_ok) ||
+         (row.evidence == Evidence::kRanClean && (clean & stage) != 0))) {
       evidence.vouched |= bit(i);
     }
   }
-  evidence.vouched &= ~evidence.failed;  // failures win
   return evidence;
 }
 

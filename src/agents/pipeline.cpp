@@ -178,19 +178,15 @@ const SemanticAnalyzerAgent& MultiAgentPipeline::core_lints_analyzer() {
 PipelineResult MultiAgentPipeline::run(const llm::TaskSpec& task,
                                        const sim::Distribution& reference,
                                        std::size_t prompt_index) {
-  PipelineResult result;
+  // Ladder steps land in last_degradations_ as they are taken, so a
+  // throwing run leaves them behind: the serving layer attributes
+  // per-site fault evidence through them (circuit breakers) even though
+  // the partial result itself is discarded.
   last_degradations_.clear();
   full_rung_ = 0;
-  try {
-    run_into(result, task, reference, prompt_index);
-  } catch (...) {
-    // A throwing run leaves its ladder steps behind: the serving layer
-    // attributes per-site fault evidence through them (circuit breakers)
-    // even though the partial result itself is discarded.
-    last_degradations_ = result.degradations;
-    throw;
-  }
-  last_degradations_ = result.degradations;
+  PipelineResult result;
+  run_into(result, task, reference, prompt_index);
+  result.degradations = last_degradations_;
   return result;
 }
 
@@ -204,7 +200,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   };
   const auto note = [&](DegradationEvent event) {
     qtrace::Metrics::counter("resilience.degradations");
-    result.degradations.push_back(std::move(event));
+    last_degradations_.push_back(std::move(event));
   };
   const auto stage_error = [&](Stage stage, const StageFailure& failure) {
     return PipelineStageError(std::string(stage_row(stage).name), failure.site,

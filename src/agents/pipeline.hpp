@@ -187,8 +187,7 @@ class MultiAgentPipeline {
   StageSet full_rung_stages() const noexcept { return full_rung_; }
 
  private:
-  /// run()'s body, writing into a caller-owned result so partial state
-  /// (degradations in particular) survives a mid-run throw.
+  /// run()'s body; ladder steps go to last_degradations_.
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
                 const sim::Distribution& reference, std::size_t prompt_index);
 

@@ -22,10 +22,9 @@
 // into a structured kCancelled / kDeadlineExceeded outcome — never a
 // hung worker or silently discarded work.
 //
-// budget_pressure() exposes consumed/total so the degradation ladders
-// can consume a *tight* budget as an input (pre-emptively degrade
-// rag -> no-rag, behavioural -> static-only) before the hard deadline
-// cancels the request outright.
+// budget_pressure() exposes consumed/total, so a *tight* budget can
+// start stages on cheaper rungs (agents/degradation.hpp) before the
+// hard deadline cancels the request outright.
 
 #include <atomic>
 #include <memory>

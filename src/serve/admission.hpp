@@ -7,18 +7,17 @@
 // configurable per-level service cost, and the backlog depth observed at
 // a request's virtual arrival instant picks its admission level:
 //
-//   depth <  no_rag_depth       -> kFull        (RAG + behavioural verify)
-//   depth >= no_rag_depth       -> kNoRag       (generate/repair rag->no-rag)
-//   depth >= static_only_depth  -> kStaticOnly  (+ verify behavioural->static)
-//   depth >= shed_depth         -> kShed        (structured rejection)
+//   depth <  no_rag_depth       -> kFull
+//   depth >= no_rag_depth       -> kNoRag
+//   depth >= static_only_depth  -> kStaticOnly
+//   depth >= shed_depth         -> kShed  (structured rejection)
 //
 // Because the model consumes only (arrival time, costs, thresholds) —
 // never wall-clock measurements or the worker schedule — the decision
 // sequence, the structured shed/degradation events and the virtual
 // latency distribution are bit-identical at any --threads value. The
-// degraded levels pre-walk the first rungs of the pipeline's existing
-// resilience ladders, so "under pressure" and "after a failure" converge
-// on the same reduced configurations.
+// degradation table (agents/degradation.hpp) maps each degraded level
+// to the stage rungs it forces — the same rungs a failure steps to.
 
 #include <cstdint>
 #include <queue>

@@ -12,8 +12,7 @@
 //                consecutive failing requests open it.
 //   * open       requests arriving within `cooldown_vt` virtual units of
 //                the opening short-circuit straight to the site's
-//                degraded path (no-rag, skip-QEC, static-only, or
-//                fail-fast — see agents/degradation.hpp).
+//                degraded rung, or fail fast (agents/degradation.hpp).
 //   * half-open  after the cooldown, a seeded per-(site, request-id)
 //                Bernoulli draw picks probe requests that exercise the
 //                real path; `half_open_successes` consecutive probe

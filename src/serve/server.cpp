@@ -259,13 +259,9 @@ RequestResult Server::run_request(const Request& request,
     // structured kFailed beats burning deadline budget on it.
     if (const auto site = agents::fail_fast_site(verdicts.short_circuit)) {
       const std::string name(agents::site_name(*site));
-      result.outcome = RequestOutcome::kFailed;
-      result.failure_stage = "request";
-      result.failure_site = name;
-      result.failure_what = "circuit breaker open at " + name;
       trace::Metrics::counter("breaker.fail_fast");
-      trace::Metrics::counter("serve.request_failures");
-      return;
+      throw agents::PipelineStageError("request", name, 0,
+                                       "circuit breaker open at " + name);
     }
     failpoint::trip("pool.task");
     pipeline.emplace(options_.technique, resources_, options_.analyzer,

@@ -528,4 +528,15 @@ TEST(DegradationTable, FailFastSitesAndBreakerSites) {
     EXPECT_EQ(agents::find_site(agents::site_name(site)), site);
   }
   EXPECT_FALSE(agents::find_site("serve.drain").has_value());
+  // Breakers report sites in name order.
+  std::set<Site> seen;
+  const auto& by_name = agents::sites_by_name();
+  for (std::size_t i = 0; i < agents::kSiteCount; ++i) {
+    seen.insert(by_name[i]);
+    if (i > 0) {
+      EXPECT_LT(agents::site_name(by_name[i - 1]),
+                agents::site_name(by_name[i]));
+    }
+  }
+  EXPECT_EQ(seen.size(), agents::kSiteCount);
 }
