@@ -183,7 +183,7 @@ class MultiAgentPipeline {
   }
 
   /// The stages the most recent run() ran on their full rung (the
-  /// breaker's positive evidence; see vouched_sites).
+  /// breaker's positive evidence; see site_evidence).
   StageSet full_rung_stages() const noexcept { return full_rung_; }
 
  private:

@@ -66,7 +66,7 @@ bool BreakerBoard::probes(agents::Site site,
                           std::uint64_t id) const noexcept {
   std::uint64_t state =
       (options_.seed ^ kProbeSalt ^ fnv1a64(agents::site_name(site))) +
-                        0x9e3779b97f4a7c15ULL * (id + 1);
+      0x9e3779b97f4a7c15ULL * (id + 1);
   const std::uint64_t mixed = splitmix64(state);
   // 53-bit mantissa draw in [0, 1), the Rng::uniform discipline.
   const double u =

@@ -45,13 +45,14 @@
 // The same fold over the *complete* log (transitions()) yields the
 // authoritative transition history reported by the lifecycle bench.
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include <condition_variable>
+#include <mutex>
 
 #include "agents/degradation.hpp"
 

@@ -523,8 +523,13 @@ TEST(DegradationTable, FailFastSitesAndBreakerSites) {
             Site::kLlmGenerate);
   EXPECT_EQ(agents::fail_fast_site(agents::bit(Site::kPoolTask)),
             Site::kPoolTask);
+  const std::vector<std::string> names = {
+      "llm.generate",      "analyzer.parse",    "pool.task",
+      "retrieval.query",   "analyzer.abstract", "analyzer.simulate",
+      "oracle.reference",  "qec.decode"};
   for (std::size_t i = 0; i < agents::kSiteCount; ++i) {
     const auto site = static_cast<Site>(i);
+    EXPECT_EQ(agents::site_name(site), names[i]);
     EXPECT_EQ(agents::find_site(agents::site_name(site)), site);
   }
   EXPECT_FALSE(agents::find_site("serve.drain").has_value());
@@ -539,4 +544,65 @@ TEST(DegradationTable, FailFastSitesAndBreakerSites) {
     }
   }
   EXPECT_EQ(seen.size(), agents::kSiteCount);
+}
+
+// The breaker evidence, against a restatement: fail-fast sites are
+// vouched for by every completed run; retrieval.query and
+// analyzer.abstract by their stage's full-rung start (the latter only
+// when the final pass parsed), even after a site-less step; and
+// analyzer.simulate and qec.decode only when their stage took no step.
+TEST(DegradationTable, SiteEvidenceFollowsTheTable) {
+  const auto set = [](std::initializer_list<Site> sites) {
+    agents::SiteSet out = 0;
+    for (const Site site : sites) out |= agents::bit(site);
+    return out;
+  };
+  const agents::SiteSet fail_fast =
+      set({Site::kLlmGenerate, Site::kAnalyzerParse, Site::kPoolTask});
+  agents::StageSet all_stages = 0;
+  for (std::size_t i = 0; i < agents::kStageCount; ++i) {
+    all_stages |= agents::bit(static_cast<Stage>(i));
+  }
+  const auto event = [](std::string stage, std::string site) {
+    return agents::DegradationEvent{1, std::move(stage), "", "", "", site};
+  };
+
+  agents::PipelineResult clean;
+  clean.syntactic_ok = true;
+  agents::SiteEvidence got = agents::site_evidence(clean, "", all_stages);
+  EXPECT_EQ(got.failed, 0U);
+  EXPECT_EQ(got.vouched,
+            fail_fast | set({Site::kRetrievalQuery, Site::kAnalyzerAbstract,
+                             Site::kAnalyzerSimulate, Site::kQecDecode}));
+  got = agents::site_evidence(clean, "", agents::StageSet{0});
+  EXPECT_EQ(got.vouched, fail_fast);
+
+  agents::PipelineResult unparsed;
+  got = agents::site_evidence(unparsed, "", all_stages);
+  EXPECT_EQ(got.vouched & set({Site::kAnalyzerAbstract}), 0U);
+
+  // Site-less steps on every stage.
+  agents::PipelineResult organic = clean;
+  for (const char* stage : {"generate", "analyze", "verify", "qec"}) {
+    organic.degradations.push_back(event(stage, ""));
+  }
+  got = agents::site_evidence(organic, "", all_stages);
+  EXPECT_EQ(got.failed, 0U);
+  EXPECT_EQ(got.vouched, fail_fast | set({Site::kRetrievalQuery,
+                                          Site::kAnalyzerAbstract}));
+
+  // Failures win over vouching, unknown sites are ignored, and a run
+  // that did not complete vouches for nothing.
+  agents::PipelineResult faulted = clean;
+  faulted.degradations.push_back(event("qec", "qec.decode"));
+  faulted.degradations.push_back(event("repair", "llm.generate"));
+  got = agents::site_evidence(faulted, "serve.drain", all_stages);
+  EXPECT_EQ(got.failed, set({Site::kQecDecode, Site::kLlmGenerate}));
+  EXPECT_EQ(got.vouched,
+            set({Site::kAnalyzerParse, Site::kPoolTask, Site::kRetrievalQuery,
+                 Site::kAnalyzerAbstract, Site::kAnalyzerSimulate}));
+  got = agents::site_evidence(faulted, "pool.task", std::nullopt);
+  EXPECT_EQ(got.failed,
+            set({Site::kQecDecode, Site::kLlmGenerate, Site::kPoolTask}));
+  EXPECT_EQ(got.vouched, 0U);
 }
