@@ -228,15 +228,17 @@ RequestResult Server::run_request(const Request& request,
     // Breaker verdicts at this request's virtual arrival. Open sites
     // start their stage degraded (or fail fast); half-open probes run
     // the real path and their outcome drives the close / re-open edge.
-    const BreakerVerdicts verdicts =
-        breaker_ != nullptr ? breaker_->decide(request.id) : BreakerVerdicts{};
-    for (const agents::Site site : agents::sites_by_name()) {
-      const std::string_view name = agents::site_name(site);
-      if (verdicts.short_circuit & agents::bit(site)) {
-        result.breaker_short_circuits.emplace_back(name);
-      }
-      if (verdicts.probing & agents::bit(site)) {
-        result.breaker_probes.emplace_back(name);
+    BreakerVerdicts verdicts;
+    if (breaker_ != nullptr) {
+      verdicts = breaker_->decide(request.id);
+      for (const agents::Site site : agents::sites_by_name()) {
+        const std::string_view name = agents::site_name(site);
+        if (verdicts.short_circuit & agents::bit(site)) {
+          result.breaker_short_circuits.emplace_back(name);
+        }
+        if (verdicts.probing & agents::bit(site)) {
+          result.breaker_probes.emplace_back(name);
+        }
       }
     }
 
