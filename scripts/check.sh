@@ -191,8 +191,9 @@ scripts/validate_bench_json.py --compare \
   build-check/BENCH_lifecycle_t1.json build-check/BENCH_lifecycle_t8.json
 
 echo "==> [8/12] golden outputs (bench/golden, captured before the refactors)"
-# The --threads 1 reports of stages [3], [6] and [7] and a traced
-# bench_fig3_techniques run must match the committed goldens outside
+# The --threads 1 reports of stages [3], [5], [6] and [7], of Fig 4 and
+# the topology ablation, and of a traced bench_fig3_techniques run must
+# match the committed goldens outside
 # "timing": a refactor that changes results identically at every thread
 # count passes the t1-vs-t8 compares but not these. A PR that means to
 # change behaviour re-freezes the affected golden and says so in
@@ -204,6 +205,19 @@ scripts/validate_bench_json.py --compare \
   bench/golden/BENCH_serving.json build-check/BENCH_serving_t1.json
 scripts/validate_bench_json.py --compare \
   bench/golden/BENCH_serving_chaos.json build-check/BENCH_lifecycle_t1.json
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_qec_resources.json build-check/BENCH_qec_resources_t1.json
+# The QEC benches: Fig 4's effective-noise resimulation and the topology
+# ablation, whose numbers come from the QEC agent's lifetime estimate.
+./build-check/bench/bench_fig4_qec_dj --quick --threads 1 \
+  --json build-check/BENCH_fig4_qec_dj_t1.json >/dev/null
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_fig4_qec_dj.json build-check/BENCH_fig4_qec_dj_t1.json
+./build-check/bench/bench_ablation_topology --quick --threads 1 \
+  --json build-check/BENCH_ablation_topology_t1.json >/dev/null
+scripts/validate_bench_json.py --compare \
+  bench/golden/BENCH_ablation_topology.json \
+  build-check/BENCH_ablation_topology_t1.json
 ./build-check/bench/bench_fig3_techniques --quick --threads 1 \
   --json build-check/BENCH_fig3_traced.json \
   --trace build-check/TRACE_fig3.json >/dev/null
