@@ -8,7 +8,6 @@
 #include "common/failpoint.hpp"
 #include "common/trace.hpp"
 #include "qasm/verify/certify.hpp"
-#include "qec/decoder.hpp"
 
 namespace qcgen::agents {
 
@@ -137,21 +136,21 @@ MultiAgentPipeline::MultiAgentPipeline(
     std::optional<DeviceTopology> device, std::uint64_t seed)
     : MultiAgentPipeline(
           technique, std::make_shared<const TechniqueResources>(technique),
-          std::move(analyzer_options), std::move(qec_options),
-          std::move(device), seed) {}
+          std::move(analyzer_options),
+          qec_options && device
+              ? std::make_shared<QecEstimates>(*qec_options, std::move(*device))
+              : nullptr,
+          seed) {}
 
 MultiAgentPipeline::MultiAgentPipeline(
     const TechniqueConfig& technique,
     std::shared_ptr<const TechniqueResources> resources,
     SemanticAnalyzerAgent::Options analyzer_options,
-    std::optional<QecDecoderAgent::Options> qec_options,
-    std::optional<DeviceTopology> device, std::uint64_t seed)
+    std::shared_ptr<QecEstimates> qec, std::uint64_t seed)
     : codegen_(technique, std::move(resources), seed),
       analyzer_(analyzer_options),
-      device_(std::move(device)),
-      resilience_rng_(seed ^ 0xc3a5c85c97cb3127ULL) {
-  if (qec_options.has_value()) qec_agent_.emplace(*qec_options);
-}
+      qec_(std::move(qec)),
+      resilience_rng_(seed ^ 0xc3a5c85c97cb3127ULL) {}
 
 void MultiAgentPipeline::set_caches(PipelineCaches caches) {
   caches_ = std::move(caches);
@@ -369,24 +368,20 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   if (result.semantic_ok) qtrace::Metrics::counter("pipeline.semantic_ok");
   qtrace::Metrics::observe("pipeline.passes_used",
                           static_cast<double>(result.passes_used));
-  if (qec_agent_.has_value() && device_.has_value() && result.semantic_ok &&
+  if (qec_ != nullptr && result.semantic_ok &&
       start_rung(Stage::kQec, inputs).rung == 0) {
     full_rung_ |= bit(Stage::kQec);
     qtrace::TraceSpan span("pipeline.qec_plan");
-    const Ladder decoders =
-        decoder_ladder(qec_agent_->options().decoder,
-                       qec_agent_->options().target_distance);
     walk_ladder(
-        decoders, 0, result.passes_used,
+        qec_->ladder(), 0, result.passes_used,
         [&](std::size_t rung) {
           cancel::checkpoint("pipeline.qec_plan");
           std::optional<QecPlan> plan;
           auto failed = guarded(Stage::kQec, [&] {
             failpoint::trip("qec.decode", result.passes_used);
-            QecDecoderAgent::Options options = qec_agent_->options();
-            options.decoder = decoders.decoders[rung];
-            plan =
-                QecDecoderAgent(options).plan_for(*device_, &final_resources);
+            // Reads the rung's shared estimate (measured here if this is
+            // the first plan to reach it) and adds this program's plan.
+            plan = qec_->plan_for(rung, &final_resources);
           });
           if (!failed.has_value()) result.qec = std::move(plan);
           return failed;

@@ -126,7 +126,8 @@ struct PipelineCaches {
 
 class MultiAgentPipeline {
  public:
-  /// `device` enables the QEC agent stage; nullopt skips it (the Fig 3 /
+  /// `qec_options` with a `device` enable the QEC agent stage, on
+  /// QecEstimates private to this pipeline; nullopt skips it (the Fig 3 /
   /// Table I experiments run without QEC, Fig 4 with it).
   MultiAgentPipeline(const TechniqueConfig& technique,
                      SemanticAnalyzerAgent::Options analyzer_options,
@@ -135,15 +136,15 @@ class MultiAgentPipeline {
                      std::uint64_t seed);
 
   /// Shares an immutable corpora/knowledge bundle built once for the
-  /// technique (see TechniqueResources): the cheap per-pipeline state is
-  /// just the SimLM and the analyzer, so a trial scheduler can construct
-  /// one pipeline per (case, sample) trial without re-indexing corpora.
+  /// technique (see TechniqueResources) and the QEC estimates (null
+  /// skips the QEC stage): the cheap per-pipeline state is just the
+  /// SimLM and the analyzer, so a trial scheduler can construct one
+  /// pipeline per (case, sample) trial without re-indexing corpora or
+  /// re-measuring the decoders.
   MultiAgentPipeline(const TechniqueConfig& technique,
                      std::shared_ptr<const TechniqueResources> resources,
                      SemanticAnalyzerAgent::Options analyzer_options,
-                     std::optional<QecDecoderAgent::Options> qec_options,
-                     std::optional<DeviceTopology> device,
-                     std::uint64_t seed);
+                     std::shared_ptr<QecEstimates> qec, std::uint64_t seed);
 
   void set_resilience(const ResilienceOptions& options) {
     resilience_ = options;
@@ -200,8 +201,7 @@ class MultiAgentPipeline {
   SemanticAnalyzerAgent analyzer_;
   PipelineCaches caches_;
   std::optional<SemanticAnalyzerAgent> degraded_analyzer_;
-  std::optional<QecDecoderAgent> qec_agent_;
-  std::optional<DeviceTopology> device_;
+  std::shared_ptr<QecEstimates> qec_;  ///< null: no QEC stage
   ResilienceOptions resilience_;
   StartInputs conditions_;  ///< see set_conditions()
   StageSet full_rung_ = 0;  ///< see full_rung_stages()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -70,6 +71,12 @@ double physical_data_error(const sim::NoiseModel& noise) {
 QecPlan QecDecoderAgent::plan_for(
     const DeviceTopology& device,
     const qasm::analysis::ResourceSummary* program) const {
+  QecPlan plan = estimate(device);
+  add_resources(plan, device, program);
+  return plan;
+}
+
+QecPlan QecDecoderAgent::estimate(const DeviceTopology& device) const {
   QecPlan plan;
   plan.physical_noise = device.noise();
   plan.decoder = options_.decoder;
@@ -117,8 +124,15 @@ QecPlan QecDecoderAgent::plan_for(
   plan.lifetime = qec::measure_lifetime(code, p_data, config);
   plan.effective_noise =
       qec::qec_effective_noise(device.noise(), plan.lifetime);
+  return plan;
+}
 
-  if (program != nullptr && program->computed) {
+void QecDecoderAgent::add_resources(
+    QecPlan& plan, const DeviceTopology& device,
+    const qasm::analysis::ResourceSummary* program) const {
+  if (plan.feasible && program != nullptr && program->computed) {
+    const double p_data = physical_data_error(device.noise());
+    const int max_d = device.max_surface_code_distance();
     ResourcePlan& res = plan.resources;
     res.computed = true;
     res.logical_qubits = program->qubits;
@@ -131,8 +145,8 @@ QecPlan QecDecoderAgent::plan_for(
                         kTPerRotation * program->rotation_count;
     res.target_logical_error = options_.target_logical_error;
 
-    // Distance: anchor the suppression model at the Monte-Carlo
-    // measurement this plan just took (probe distance = plan.distance).
+    // Distance: anchor the suppression model at the plan's Monte-Carlo
+    // measurement (probe distance = plan.distance).
     const double lambda = kSurfaceCodeThreshold / p_data;
     solve_distance(res, plan.lifetime.logical_error_per_round, plan.distance,
                    lambda, max_d);
@@ -184,6 +198,32 @@ QecPlan QecDecoderAgent::plan_for(
     res.space_time_volume = static_cast<double>(res.total_physical_qubits) *
                             static_cast<double>(res.logical_time_rounds);
   }
+}
+
+QecEstimates::QecEstimates(const QecDecoderAgent::Options& options,
+                           DeviceTopology device)
+    : device_(std::move(device)),
+      ladder_(decoder_ladder(options.decoder, options.target_distance)) {
+  for (std::size_t rung = 0; rung < ladder_.size; ++rung) {
+    QecDecoderAgent::Options rung_options = options;
+    rung_options.decoder = ladder_.decoders[rung];
+    slots_[rung].agent = QecDecoderAgent(rung_options);
+  }
+}
+
+QecPlan QecEstimates::plan_for(
+    std::size_t rung, const qasm::analysis::ResourceSummary* program) {
+  require(rung < ladder_.size, "QecEstimates::plan_for: no such rung");
+  Slot& slot = slots_[rung];
+  if (!slot.filled.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(slot.mutex);
+    if (!slot.filled.load(std::memory_order_relaxed)) {
+      slot.estimate = slot.agent.estimate(device_);
+      slot.filled.store(true, std::memory_order_release);
+    }
+  }
+  QecPlan plan = slot.estimate;
+  slot.agent.add_resources(plan, device_, program);
   return plan;
 }
 

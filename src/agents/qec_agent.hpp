@@ -7,10 +7,20 @@
 // (post-QEC) noise model used to resimulate results — the paper's Fig 4
 // methodology. The agent is topology-specific: non-lattice devices incur
 // a retraining/synthesis cost, the scalability problem Sec V-E flags.
+//
+// A plan has two parts. The estimate (feasibility, synthesis cost,
+// measured lifetime, effective noise) depends only on the device and the
+// agent options; the ResourcePlan depends on the program. QecEstimates
+// measures the estimate once per (device, options, decoder rung) and
+// shares it across every program planned against it.
 
+#include <array>
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "agents/degradation.hpp"
 #include "agents/topology.hpp"
 #include "common/json.hpp"
 #include "qasm/analysis/resources.hpp"
@@ -108,10 +118,22 @@ class QecDecoderAgent {
   /// Plans QEC for a device; infeasible plans carry a reason. When a
   /// program resource summary is supplied (static analysis of the
   /// program about to run fault-tolerantly), the plan also carries a
-  /// ResourcePlan cost estimate.
+  /// ResourcePlan cost estimate. Equal to estimate() followed by
+  /// add_resources().
   QecPlan plan_for(const DeviceTopology& device,
                    const qasm::analysis::ResourceSummary* program =
                        nullptr) const;
+
+  /// The per-configuration part of plan_for: feasibility, synthesis
+  /// cost, the Monte-Carlo lifetime measurement and the effective noise.
+  /// The result carries no ResourcePlan.
+  QecPlan estimate(const DeviceTopology& device) const;
+
+  /// The per-program part of plan_for: fills `plan.resources` from
+  /// `program` when the plan (an estimate() of `device`) is feasible and
+  /// the summary was computed; otherwise leaves the plan as it is.
+  void add_resources(QecPlan& plan, const DeviceTopology& device,
+                     const qasm::analysis::ResourceSummary* program) const;
 
   /// Constructs the decoders for a feasible plan (both stabilizer types).
   static std::pair<std::unique_ptr<qec::Decoder>,
@@ -120,6 +142,43 @@ class QecDecoderAgent {
 
  private:
   Options options_;
+};
+
+/// The QEC estimates of one (device, options) pair, one slot per rung of
+/// decoder_ladder(options.decoder, options.target_distance). A slot is
+/// measured by the first plan_for call that reaches its rung, on that
+/// caller's thread (its trace sink and request context record the work),
+/// and is read-only after. Concurrent callers of an empty slot wait for
+/// the one measuring it; a measurement that throws (a cancelled request)
+/// leaves the slot empty for the next caller. serve::Server shares one
+/// across its requests and eval::run_trial_matrix one across a
+/// technique's trials.
+class QecEstimates {
+ public:
+  QecEstimates(const QecDecoderAgent::Options& options, DeviceTopology device);
+
+  QecEstimates(const QecEstimates&) = delete;
+  QecEstimates& operator=(const QecEstimates&) = delete;
+
+  /// The decoder rungs the slots stand for, full rung first.
+  const Ladder& ladder() const noexcept { return ladder_; }
+
+  /// Equal to QecDecoderAgent(options with rung's decoder)
+  /// .plan_for(device, program); the estimate is measured at most once.
+  QecPlan plan_for(std::size_t rung,
+                   const qasm::analysis::ResourceSummary* program);
+
+ private:
+  struct Slot {
+    QecDecoderAgent agent;
+    std::mutex mutex;  ///< held while the estimate is measured
+    std::atomic<bool> filled{false};
+    QecPlan estimate;  ///< written once, under the mutex
+  };
+
+  DeviceTopology device_;
+  Ladder ladder_;
+  std::array<Slot, 3> slots_;  ///< one per ladder rung
 };
 
 /// Extracts the per-round physical data-error probability from a device

@@ -81,6 +81,12 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   // verification (empty reference) instead of poisoning its trials.
   const auto resources =
       std::make_shared<const agents::TechniqueResources>(technique);
+  // Filled lazily: the first trial that plans on a decoder rung measures
+  // its lifetime estimate, every later trial reads it.
+  const auto qec = options.qec && options.device
+                       ? std::make_shared<agents::QecEstimates>(
+                             *options.qec, *options.device)
+                       : nullptr;
   ReferenceOracle oracle(options.oracle);
   static const sim::Distribution kEmptyReference;
   std::vector<const sim::Distribution*> references;
@@ -150,8 +156,8 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
         [&] {
           failpoint::trip("pool.task");
           agents::MultiAgentPipeline pipeline(
-              technique, resources, options.analyzer, options.qec,
-              options.device, trial_seed(options.seed, case_idx, sample_idx));
+              technique, resources, options.analyzer, qec,
+              trial_seed(options.seed, case_idx, sample_idx));
           pipeline.set_resilience(options.resilience);
           out.pipeline = pipeline.run(suite[case_idx].task,
                                       *references[case_idx], case_idx);

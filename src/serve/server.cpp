@@ -57,6 +57,12 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     resources->enable_retrieval_cache(retrieval_cache_);
   }
   resources_ = std::move(resources);
+  // Only the slots are laid out here: each decoder rung's estimate is
+  // measured inside the first request that plans on it.
+  if (options_.qec.has_value()) {
+    qec_ = std::make_shared<agents::QecEstimates>(*options_.qec,
+                                                  *options_.device);
+  }
   if (!options_.chaos_scenario.empty()) {
     scenario_ = std::make_shared<const failpoint::Scenario>(
         failpoint::Scenario::parse(options_.chaos_scenario));
@@ -267,8 +273,7 @@ RequestResult Server::run_request(const Request& request,
     }
     failpoint::trip("pool.task");
     pipeline.emplace(options_.technique, resources_, options_.analyzer,
-                     request.options.qec ? options_.qec : std::nullopt,
-                     options_.device,
+                     request.options.qec ? qec_ : nullptr,
                      request_seed(options_.seed, request.id));
     pipeline->set_resilience(options_.resilience);
     if (options_.cache.enabled) {

@@ -6,7 +6,8 @@
 //   * the expensive immutable state built once and shared read-only by
 //     every request — agents::TechniqueResources (knowledge + BM25
 //     stores) and a prewarmed eval::ReferenceOracle over the catalog of
-//     gold cases it serves;
+//     gold cases it serves — and the QEC estimates, measured once per
+//     decoder rung by the first request that reaches it;
 //   * an AdmissionController making deterministic virtual-time
 //     admission/shedding decisions at enqueue time;
 //   * a RequestQueue of admitted requests and a ThreadPool of workers
@@ -80,7 +81,8 @@ class Server {
     agents::TechniqueConfig technique;
     agents::SemanticAnalyzerAgent::Options analyzer;
     /// QEC planning stage (applied per request when its options ask for
-    /// it); requires `device`.
+    /// it); requires `device`. The lifetime estimate of each decoder rung
+    /// is measured once per server, by the first request that needs it.
     std::optional<agents::QecDecoderAgent::Options> qec;
     std::optional<agents::DeviceTopology> device;
     agents::ResilienceOptions resilience;
@@ -205,6 +207,7 @@ class Server {
 
   Options options_;
   std::shared_ptr<const agents::TechniqueResources> resources_;
+  std::shared_ptr<agents::QecEstimates> qec_;  ///< null without Options::qec
   std::shared_ptr<agents::GenerationCache> generation_cache_;
   std::shared_ptr<llm::RetrievalCache> retrieval_cache_;
   std::shared_ptr<agents::AnalysisCache> analysis_cache_;
