@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -133,10 +134,13 @@ class Parser {
     advance();
     return true;
   }
-  bool expect(TokenKind kind, const std::string& context) {
+  /// `context` is a view so that a successful call, the common case on
+  /// every gate, builds no string; the message is built on error only.
+  bool expect(TokenKind kind, std::string_view context) {
     if (match(kind)) return true;
-    error("expected " + std::string(token_kind_name(kind)) + " " + context +
-          ", found " + std::string(token_kind_name(peek().kind)));
+    error("expected " + std::string(token_kind_name(kind)) + " " +
+          std::string(context) + ", found " +
+          std::string(token_kind_name(peek().kind)));
     return false;
   }
   void error(const std::string& message) {

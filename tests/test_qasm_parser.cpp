@@ -169,6 +169,32 @@ TEST(Parser, DiagnosticsCarryLocation) {
   EXPECT_TRUE(found_line3);
 }
 
+// The expect() contexts on the per-gate path, pinned as full text, line
+// and column: the message is built only when the token is missing.
+TEST(Parser, PerGateExpectDiagnosticsAreExact) {
+  struct Case {
+    const char* body;
+    std::size_t line, column;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"  h q;\n", 3, 6, "expected '[' after register name, found ';'"},
+      {"  cx q[0], q[1;\n", 3, 15,
+       "expected ']' after register index, found ';'"},
+      {"  h q[0]\n  x q[1];\n", 4, 3,
+       "expected ';' after gate statement, found identifier"},
+  };
+  for (const Case& c : cases) {
+    const ParseResult r = parse(std::string("import qiskit;\ncircuit m(q: 2) {\n") +
+                                c.body + "}\n");
+    ASSERT_FALSE(r.diagnostics.empty()) << c.body;
+    const Diagnostic& d = r.diagnostics.front();
+    EXPECT_EQ(d.message, c.message);
+    EXPECT_EQ(d.line, c.line) << c.message;
+    EXPECT_EQ(d.column, c.column) << c.message;
+  }
+}
+
 TEST(Expr, EvaluateAllKinds) {
   const ExprPtr e = Expr::make_binary(
       Expr::Kind::kSub,
