@@ -174,7 +174,7 @@ TEST(Parser, DiagnosticsCarryLocation) {
 TEST(Parser, PerGateExpectDiagnosticsAreExact) {
   struct Case {
     const char* body;
-    std::size_t line, column;
+    int line, column;
     const char* message;
   };
   const Case cases[] = {
