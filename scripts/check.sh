@@ -263,7 +263,7 @@ cmake --build build-nofp -j "$JOBS"
 ctest --test-dir build-nofp --output-on-failure -j "$JOBS" \
   -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle|test_run_unit|test_degradation'
 
-echo "==> [11/12] ASan+UBSan build, qasm/lint/qec/fuzz/chaos/resilience/serve/lifecycle/retrieval/run-unit/degradation tests"
+echo "==> [11/12] ASan+UBSan build, qasm/lint/qec/fuzz/chaos/resilience/serve/lifecycle/retrieval/run-unit/degradation/qec-estimate tests"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQCGEN_SANITIZE="address;undefined" \
@@ -272,9 +272,9 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_decoders|test_qec_logical|test_verify|test_verify_fuzz|test_fuzz_robustness|test_openqasm|test_failpoint|test_resilience|test_bench_harness|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit|test_degradation'
+    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_decoders|test_qec_logical|test_verify|test_verify_fuzz|test_fuzz_robustness|test_openqasm|test_failpoint|test_resilience|test_bench_harness|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit|test_degradation|test_qec_estimate'
 
-echo "==> [12/12] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle / retrieval / run-unit / degradation tests"
+echo "==> [12/12] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle / retrieval / run-unit / degradation / qec-estimate tests"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQCGEN_SANITIZE=thread \
@@ -283,7 +283,7 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit|test_degradation'
+    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_llm_retrieval|test_run_unit|test_degradation|test_qec_estimate'
 
 print_summary
 echo "==> all checks passed"

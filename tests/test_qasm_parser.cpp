@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "qasm/parser.hpp"
@@ -185,8 +186,8 @@ TEST(Parser, PerGateExpectDiagnosticsAreExact) {
        "expected ';' after gate statement, found identifier"},
   };
   for (const Case& c : cases) {
-    const ParseResult r = parse(std::string("import qiskit;\ncircuit m(q: 2) {\n") +
-                                c.body + "}\n");
+    const ParseResult r = parse(
+        std::string("import qiskit;\ncircuit m(q: 2) {\n") + c.body + "}\n");
     ASSERT_FALSE(r.diagnostics.empty()) << c.body;
     const Diagnostic& d = r.diagnostics.front();
     EXPECT_EQ(d.message, c.message);
