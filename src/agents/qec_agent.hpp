@@ -113,8 +113,6 @@ class QecDecoderAgent {
   QecDecoderAgent() : QecDecoderAgent(Options()) {}
   explicit QecDecoderAgent(Options options);
 
-  const Options& options() const noexcept { return options_; }
-
   /// Plans QEC for a device; infeasible plans carry a reason. When a
   /// program resource summary is supplied (static analysis of the
   /// program about to run fault-tolerantly), the plan also carries a

@@ -100,8 +100,10 @@ struct TrialResult {
   /// Set when the trial threw; `pipeline` is then default-constructed
   /// and must not be interpreted as an outcome.
   std::optional<TrialFailure> failure;
-  /// Deterministic per-trial trace summary; populated only when the
-  /// runner was handed a trace sink (empty otherwise).
+  /// Per-trial trace summary; populated only when the runner was handed
+  /// a trace sink (empty otherwise). Deterministic except for the QEC
+  /// lifetime measurement, whose spans land in whichever trial first
+  /// plans on a decoder rung (the merged summary does not depend on it).
   trace::Summary trace;
 };
 

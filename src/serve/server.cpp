@@ -58,7 +58,8 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   }
   resources_ = std::move(resources);
   // Only the slots are laid out here: each decoder rung's estimate is
-  // measured inside the first request that plans on it.
+  // measured inside the first request that plans on it, so the work is
+  // traced and cancellable as that request's and set-up stays cheap.
   if (options_.qec.has_value()) {
     qec_ = std::make_shared<agents::QecEstimates>(*options_.qec,
                                                   *options_.device);
