@@ -215,11 +215,11 @@ QecPlan QecEstimates::plan_for(
     std::size_t rung, const qasm::analysis::ResourceSummary* program) {
   require(rung < ladder_.size, "QecEstimates::plan_for: no such rung");
   Slot& slot = slots_[rung];
-  if (!slot.filled.load(std::memory_order_acquire)) {
+  if (!slot.filled.load()) {
     const std::lock_guard<std::mutex> lock(slot.mutex);
-    if (!slot.filled.load(std::memory_order_relaxed)) {
+    if (!slot.filled.load()) {
       slot.estimate = slot.agent.estimate(device_);
-      slot.filled.store(true, std::memory_order_release);
+      slot.filled.store(true);
     }
   }
   QecPlan plan = slot.estimate;

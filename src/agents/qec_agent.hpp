@@ -176,7 +176,8 @@ class QecEstimates {
 
   DeviceTopology device_;
   Ladder ladder_;
-  std::array<Slot, 3> slots_;  ///< one per ladder rung
+  /// One per ladder rung.
+  std::array<Slot, std::tuple_size_v<decltype(Ladder::decoders)>> slots_;
 };
 
 /// Extracts the per-round physical data-error probability from a device
